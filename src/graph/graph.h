@@ -114,6 +114,9 @@ class Graph {
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
   std::size_t num_nodes() const { return nodes_.size(); }
+  // Exclusive upper bound of the node ids handed out so far. Ids are unique
+  // and never reused, so passes index dense per-node arrays by id.
+  int id_bound() const { return next_id_; }
 
   // Removes nodes not satisfying `keep`. Caller guarantees no kept node
   // references a removed one.

@@ -27,6 +27,10 @@ PlanProfile::PlanProfile(std::vector<ProfileNodeInfo> nodes)
     : nodes_(std::move(nodes)),
       slots_(std::make_unique<Slot[]>(nodes_.empty() ? 1 : nodes_.size())) {}
 
+PlanProfile::~PlanProfile() {
+  if (registered_) ProfileRegistry::Global().Retire(*this);
+}
+
 void PlanProfile::Record(int index, std::int64_t dur_ns) {
   if (index < 0 || index >= num_nodes()) return;
   if (dur_ns < 0) dur_ns = 0;
@@ -63,42 +67,6 @@ PlanProfile::NodeSnapshot PlanProfile::Snapshot(int index) const {
     snap.buckets[b] = slot.buckets[b].load(std::memory_order_relaxed);
   }
   return snap;
-}
-
-// ---------------------------------------------------------------------------
-// ProfileRegistry
-// ---------------------------------------------------------------------------
-
-ProfileRegistry& ProfileRegistry::Global() {
-  // Leaked: the JANUS_PROFILE atexit exporter must always find it alive.
-  static ProfileRegistry* registry = new ProfileRegistry();
-  return *registry;
-}
-
-void ProfileRegistry::Register(std::shared_ptr<PlanProfile> profile) {
-  if (profile == nullptr) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (profiles_.size() >= kMaxProfiles) {
-    profiles_.erase(profiles_.begin());
-    ++dropped_;
-  }
-  profiles_.push_back(std::move(profile));
-}
-
-std::vector<std::shared_ptr<PlanProfile>> ProfileRegistry::Profiles() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return profiles_;
-}
-
-std::uint64_t ProfileRegistry::dropped() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void ProfileRegistry::Reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  profiles_.clear();
-  dropped_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +114,7 @@ void AppendNodeSamples(const PlanProfile& profile, int index,
     sample.node = node.name;
     sample.count = snap.count * scale;
     sample.total_ns = total_ns * scale;
-    sample.max_ns = max_ns * scale;
+    sample.max_ns = max_ns;  // one sampled execution: nothing to scale
     out->push_back(std::move(sample));
   };
   if (info.members.empty()) {
@@ -159,6 +127,15 @@ void AppendNodeSamples(const PlanProfile& profile, int index,
   for (const ProfileNodeInfo& member : info.members) {
     emit(member, snap.total_ns / num_members, snap.max_ns / num_members);
   }
+}
+
+// The scaled node time of one profile.
+std::uint64_t ExecutionNs(const PlanProfile& profile) {
+  std::uint64_t total = 0;
+  for (int i = 0; i < profile.num_nodes(); ++i) {
+    total += profile.Snapshot(i).total_ns * kProfileSampleEvery;
+  }
+  return total;
 }
 
 struct UnitKey {
@@ -205,32 +182,159 @@ void JsonEscape(std::ostringstream& out, std::string_view text) {
 
 }  // namespace
 
-std::vector<ProfileSample> CollectProfileSamples() {
+// ---------------------------------------------------------------------------
+// ProfileRegistry
+// ---------------------------------------------------------------------------
+
+ProfileRegistry& ProfileRegistry::Global() {
+  // Leaked: the JANUS_PROFILE atexit exporter and profiles destroyed during
+  // static destruction must always find it alive.
+  static ProfileRegistry* registry = new ProfileRegistry();
+  return *registry;
+}
+
+void ProfileRegistry::Register(const std::shared_ptr<PlanProfile>& profile) {
+  if (profile == nullptr) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  profile->registered_ = true;
+  if (profiles_.size() >= prune_at_) {
+    std::erase_if(profiles_, [](const std::weak_ptr<PlanProfile>& weak) {
+      return weak.expired();
+    });
+    prune_at_ = std::max<std::size_t>(64, 2 * profiles_.size());
+  }
+  profiles_.push_back(profile);
+}
+
+std::vector<std::shared_ptr<PlanProfile>> ProfileRegistry::Profiles() const {
+  std::vector<std::shared_ptr<PlanProfile>> live;
+  const std::lock_guard<std::mutex> lock(mu_);
+  live.reserve(profiles_.size());
+  for (const std::weak_ptr<PlanProfile>& weak : profiles_) {
+    if (std::shared_ptr<PlanProfile> profile = weak.lock()) {
+      live.push_back(std::move(profile));
+    }
+  }
+  return live;
+}
+
+void ProfileRegistry::Retire(const PlanProfile& profile) {
+  // Read the dying profile outside the lock; only this thread still sees it.
   std::vector<ProfileSample> samples;
-  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
+  for (int i = 0; i < profile.num_nodes(); ++i) {
+    AppendNodeSamples(profile, i, &samples);
+  }
+  const std::uint64_t execution_ns = ExecutionNs(profile);
+
+  const std::lock_guard<std::mutex> lock(mu_);
+  Key key{profile.unit(), profile.variant(), profile.despecialization_level()};
+  auto [it, inserted] = retired_.try_emplace(key);
+  Retired& retired = it->second;
+  if (inserted) {
+    retired.totals.unit = profile.unit();
+    retired.totals.variant = profile.variant();
+    retired.totals.level = profile.despecialization_level();
+    retired_order_.push_back(std::move(key));
+    if (retired_.size() > kMaxRetiredKeys) {
+      retired_.erase(retired_order_.front());
+      retired_order_.pop_front();
+      ++dropped_;
+    }
+  }
+  retired.totals.generation_ns += profile.generation_ns();
+  retired.totals.validation_ns += profile.validation_ns();
+  retired.totals.runs += profile.runs();
+  retired.totals.execution_ns += execution_ns;
+  for (const ProfileSample& sample : samples) {
+    auto [slot, fresh] = retired.samples.try_emplace(
+        std::make_tuple(sample.function, sample.line, sample.stmt, sample.op,
+                        sample.node),
+        sample);
+    if (fresh) continue;
+    ProfileSample& merged = slot->second;
+    merged.count += sample.count;
+    merged.total_ns += sample.total_ns;
+    merged.max_ns = std::max(merged.max_ns, sample.max_ns);
+  }
+}
+
+std::vector<ProfileSample> ProfileRegistry::RetiredSamples() const {
+  std::vector<ProfileSample> out;
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, retired] : retired_) {
+    for (const auto& [site, sample] : retired.samples) out.push_back(sample);
+  }
+  return out;
+}
+
+std::vector<ProfileUnitTotals> ProfileRegistry::RetiredUnitTotals() const {
+  std::vector<ProfileUnitTotals> out;
+  const std::lock_guard<std::mutex> lock(mu_);
+  out.reserve(retired_.size());
+  for (const auto& [key, retired] : retired_) out.push_back(retired.totals);
+  return out;
+}
+
+std::uint64_t ProfileRegistry::dropped() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
+void ProfileRegistry::Reset() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  profiles_.clear();
+  prune_at_ = 64;
+  retired_.clear();
+  retired_order_.clear();
+  dropped_ = 0;
+}
+
+std::vector<ProfileSample> CollectProfileSamples() {
+  // Hold the live profiles while reading the retired totals, so none of
+  // them can retire in between and be counted twice.
+  const std::vector<std::shared_ptr<PlanProfile>> live =
+      ProfileRegistry::Global().Profiles();
+  std::vector<ProfileSample> samples;
+  for (const auto& profile : live) {
     for (int i = 0; i < profile->num_nodes(); ++i) {
       AppendNodeSamples(*profile, i, &samples);
     }
+  }
+  for (ProfileSample& sample : ProfileRegistry::Global().RetiredSamples()) {
+    samples.push_back(std::move(sample));
   }
   return samples;
 }
 
 std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
+  const std::vector<std::shared_ptr<PlanProfile>> live =
+      ProfileRegistry::Global().Profiles();
   std::map<UnitKey, ProfileUnitTotals> by_key;
-  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
-    const UnitKey key{profile->unit(), profile->variant(),
-                      profile->despecialization_level()};
-    ProfileUnitTotals& totals = by_key[key];
-    totals.unit = key.unit;
-    totals.variant = key.variant;
-    totals.level = key.level;
-    totals.generation_ns += profile->generation_ns();
-    totals.validation_ns += profile->validation_ns();
-    totals.runs += profile->runs();
-    for (int i = 0; i < profile->num_nodes(); ++i) {
-      totals.execution_ns +=
-          profile->Snapshot(i).total_ns * kProfileSampleEvery;
-    }
+  const auto add = [&by_key](const ProfileUnitTotals& part) {
+    ProfileUnitTotals& totals =
+        by_key[UnitKey{part.unit, part.variant, part.level}];
+    totals.unit = part.unit;
+    totals.variant = part.variant;
+    totals.level = part.level;
+    totals.generation_ns += part.generation_ns;
+    totals.validation_ns += part.validation_ns;
+    totals.execution_ns += part.execution_ns;
+    totals.runs += part.runs;
+  };
+  for (const auto& profile : live) {
+    ProfileUnitTotals part;
+    part.unit = profile->unit();
+    part.variant = profile->variant();
+    part.level = profile->despecialization_level();
+    part.generation_ns = profile->generation_ns();
+    part.validation_ns = profile->validation_ns();
+    part.execution_ns = ExecutionNs(*profile);
+    part.runs = profile->runs();
+    add(part);
+  }
+  for (const ProfileUnitTotals& part :
+       ProfileRegistry::Global().RetiredUnitTotals()) {
+    add(part);
   }
   std::vector<ProfileUnitTotals> out;
   out.reserve(by_key.size());
@@ -239,30 +343,17 @@ std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
 }
 
 std::map<std::string, double> ProfileNodeMeanNs() {
+  // Every sample scales count and time by the same stride, so their ratio
+  // is the unscaled per-execution mean.
   struct Acc {
     std::uint64_t count = 0;
     std::uint64_t total_ns = 0;
   };
   std::map<std::string, Acc> by_name;
-  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
-    for (int i = 0; i < profile->num_nodes(); ++i) {
-      const PlanProfile::NodeSnapshot snap = profile->Snapshot(i);
-      if (snap.count == 0) continue;
-      const ProfileNodeInfo& info =
-          profile->nodes()[static_cast<std::size_t>(i)];
-      if (info.members.empty()) {
-        Acc& acc = by_name[info.name];
-        acc.count += snap.count;
-        acc.total_ns += snap.total_ns;
-      } else {
-        const auto n = static_cast<std::uint64_t>(info.members.size());
-        for (const ProfileNodeInfo& member : info.members) {
-          Acc& acc = by_name[member.name];
-          acc.count += snap.count;
-          acc.total_ns += snap.total_ns / n;
-        }
-      }
-    }
+  for (const ProfileSample& sample : CollectProfileSamples()) {
+    Acc& acc = by_name[sample.node];
+    acc.count += sample.count;
+    acc.total_ns += sample.total_ns;
   }
   std::map<std::string, double> means;
   for (const auto& [name, acc] : by_name) {
@@ -296,10 +387,11 @@ std::string RenderProfileText() {
   std::ostringstream out;
   out << "janus continuous profile (sample stride " << kProfileSampleEvery
       << ", times are scaled estimates)\n";
+  const ProfileRegistry& registry = ProfileRegistry::Global();
   out << "profiling " << (ProfilingEnabled() ? "enabled" : "disabled")
-      << "; " << ProfileRegistry::Global().Profiles().size()
-      << " plan(s) registered, " << ProfileRegistry::Global().dropped()
-      << " dropped\n\n";
+      << "; " << registry.Profiles().size() << " live plan(s), "
+      << registry.RetiredUnitTotals().size() << " retired unit key(s), "
+      << registry.dropped() << " dropped\n\n";
 
   out << "== units (inclusive phase split) ==\n";
   for (const ProfileUnitTotals& unit : units) {

@@ -32,11 +32,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "obs/trace.h"
@@ -75,6 +77,11 @@ class PlanProfile {
   static constexpr int kNumBuckets = 32;
 
   explicit PlanProfile(std::vector<ProfileNodeInfo> nodes);
+  // A registered profile folds its totals and samples into the registry's
+  // retired totals here, so exports outlive the plan.
+  ~PlanProfile();
+  PlanProfile(const PlanProfile&) = delete;
+  PlanProfile& operator=(const PlanProfile&) = delete;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<ProfileNodeInfo>& nodes() const { return nodes_; }
@@ -115,6 +122,8 @@ class PlanProfile {
   NodeSnapshot Snapshot(int index) const;
 
  private:
+  friend class ProfileRegistry;
+
   struct Slot {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> total_ns{0};
@@ -130,30 +139,84 @@ class PlanProfile {
   std::atomic<std::int64_t> generation_ns_{0};
   std::atomic<std::int64_t> validation_ns_{0};
   std::atomic<std::uint64_t> runs_{0};
+  bool registered_ = false;  // set once by ProfileRegistry::Register
 };
 
-// Process-global set of live PlanProfiles. Plans register at build and
-// stay until process exit (plans are shared_ptr-owned by caches; the
-// registry holds weak-free shared_ptrs so a scrape racing plan eviction
-// still reads valid slots). Bounded: past kMaxProfiles the oldest
-// registration is dropped (dropped_ counts them) — continuous profiling
-// must not grow without bound under cache churn.
+// One exported sample: a plan node (or fused-region member, with the
+// region's time split evenly across members) under its aggregation key.
+// count and total_ns are scaled by the nominal sampling stride, i.e. they
+// estimate true totals; max_ns is the largest single sampled execution,
+// which no stride multiplies.
+struct ProfileSample {
+  std::string unit;
+  std::string variant;
+  int level = 0;
+  std::string function;
+  int line = 0;
+  int stmt = -1;
+  std::string op;
+  std::string node;
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t max_ns = 0;
+};
+
+struct ProfileUnitTotals {
+  std::string unit;
+  std::string variant;
+  int level = 0;
+  std::int64_t generation_ns = 0;
+  std::int64_t validation_ns = 0;
+  std::uint64_t execution_ns = 0;  // sampled-and-scaled node time
+  std::uint64_t runs = 0;
+};
+
+// Process-global set of PlanProfiles. The registry holds each profile
+// weakly: a plan's cache owns it, and an evicted plan frees its profile
+// (one slot and one ProfileNodeInfo per node). When a registered profile
+// dies it folds its unit totals (generation, validation, runs, execution)
+// and its recorded samples into retired totals per {unit, variant, level}
+// key, so every export reports the same totals whether or not the plan is
+// still cached. Bounded: past kMaxRetiredKeys the oldest retired key is
+// dropped (dropped() counts them) — continuous profiling must not grow
+// without bound under cache churn.
 class ProfileRegistry {
  public:
-  static constexpr std::size_t kMaxProfiles = 512;
+  static constexpr std::size_t kMaxRetiredKeys = 512;
 
   static ProfileRegistry& Global();
 
-  void Register(std::shared_ptr<PlanProfile> profile);
+  void Register(const std::shared_ptr<PlanProfile>& profile);
+  // The live (not yet destroyed) registered profiles.
   std::vector<std::shared_ptr<PlanProfile>> Profiles() const;
+  // Samples and unit totals folded from destroyed profiles, one entry per
+  // sample site and per key.
+  std::vector<ProfileSample> RetiredSamples() const;
+  std::vector<ProfileUnitTotals> RetiredUnitTotals() const;
   std::uint64_t dropped() const;
 
-  // Drops all registrations (tests).
+  // Drops all registrations and retired totals (tests).
   void Reset();
 
  private:
+  friend class PlanProfile;
+
+  struct Retired {
+    ProfileUnitTotals totals;
+    // Sample identity (site, op, node name) -> merged sample.
+    std::map<std::tuple<std::string, int, int, std::string, std::string>,
+             ProfileSample>
+        samples;
+  };
+  using Key = std::tuple<std::string, std::string, int>;
+
+  void Retire(const PlanProfile& profile);
+
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<PlanProfile>> profiles_;
+  std::vector<std::weak_ptr<PlanProfile>> profiles_;
+  std::size_t prune_at_ = 64;  // expired entries are pruned at this size
+  std::map<Key, Retired> retired_;
+  std::deque<Key> retired_order_;  // oldest retired key first
   std::uint64_t dropped_ = 0;
 };
 
@@ -198,34 +261,6 @@ inline bool ShouldSampleProfileNode() {
 // ---------------------------------------------------------------------------
 // Snapshots + renderers
 // ---------------------------------------------------------------------------
-
-// One exported sample: a plan node (or fused-region member, with the
-// region's time split evenly across members) under its aggregation key.
-// count/total_ns/max_ns are scaled by the nominal sampling stride, i.e.
-// they estimate true totals.
-struct ProfileSample {
-  std::string unit;
-  std::string variant;
-  int level = 0;
-  std::string function;
-  int line = 0;
-  int stmt = -1;
-  std::string op;
-  std::string node;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t max_ns = 0;
-};
-
-struct ProfileUnitTotals {
-  std::string unit;
-  std::string variant;
-  int level = 0;
-  std::int64_t generation_ns = 0;
-  std::int64_t validation_ns = 0;
-  std::uint64_t execution_ns = 0;  // sampled-and-scaled node time
-  std::uint64_t runs = 0;
-};
 
 std::vector<ProfileSample> CollectProfileSamples();
 std::vector<ProfileUnitTotals> CollectProfileUnitTotals();

@@ -23,11 +23,14 @@ bool IsPureOp(const std::string& op);
 // executing their kernels at optimisation time. Returns #nodes folded.
 int ConstantFolding(Graph& graph);
 
-// Merges duplicate pure nodes (same op, inputs, attrs). Returns #merged.
+// Merges duplicate pure nodes and Consts: same op, inputs, control inputs
+// and attributes, where doubles and small tensors compare bitwise (tensors
+// above 256 elements never merge). Returns #merged.
 int CommonSubexpressionElimination(Graph& graph);
 
 // Local algebraic rewrites: x+0 -> x, x*1 -> x, x-0 -> x, x/1 -> x,
-// double-Neg elimination, Identity forwarding. Returns #rewrites.
+// x*0 -> ZerosLike(x), double-Neg elimination, Identity forwarding.
+// Returns #rewrites.
 int ArithmeticSimplification(Graph& graph);
 
 // Removes nodes not reachable from the fetches (through data and control
@@ -43,7 +46,11 @@ struct OptimizationStats {
   int rounds = 0;
 };
 
-// Runs all passes to a (bounded) fixpoint.
+// Runs all passes until a round changes nothing (the fixpoint), or for
+// `max_rounds` rounds; `rounds` counts the unchanged round too. Here the
+// passes know the roots: a node no edge reads (dead, or fetched) is never
+// rewritten, since replacements rewire edges and never the fetch handles.
+// Every rewrite a round reports therefore rewires at least one edge.
 OptimizationStats OptimizeGraph(Graph& graph,
                                 std::span<const NodeOutput> fetches,
                                 int max_rounds = 8);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <queue>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -157,16 +156,24 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
 }
 
 void ExecutionPlan::BuildDag(const Graph& graph) {
+  // Per-node scratch is indexed by node id (unique and below id_bound()).
+  const auto id_of = [](const Node* node) {
+    return static_cast<std::size_t>(node->id());
+  };
+  const auto id_bound = static_cast<std::size_t>(graph.id_bound());
+
   // Restrict execution to the nodes the fetches transitively need (through
   // data and control edges): side-effecting ops only run when anchored to a
   // fetch (the update-anchor NoOp convention).
-  std::unordered_set<const Node*> needed;
+  std::vector<char> needed(id_bound, 0);
   std::vector<const Node*> stack;
   for (const NodeOutput& fetch : fetches_) stack.push_back(fetch.node);
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
-    if (!needed.insert(node).second) continue;
+    JANUS_EXPECTS(id_of(node) < id_bound);  // a node of another graph
+    if (needed[id_of(node)] != 0) continue;
+    needed[id_of(node)] = 1;
     for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
     for (const Node* control : node->control_inputs()) {
       stack.push_back(control);
@@ -181,46 +188,47 @@ void ExecutionPlan::BuildDag(const Graph& graph) {
   // in the dense array. Kahn's algorithm with a min-heap on graph position
   // keeps the order deterministic and as close to insertion order as the
   // edges allow.
+  //
+  // `stamp` deduplicates a node's producers (a node may read one producer
+  // through several slots and control edges): it holds the last consumer,
+  // by position, that counted the producer.
+  std::vector<int> stamp(id_bound, -1);
   std::vector<const Node*> order;
   {
     std::vector<const Node*> graph_order;
-    graph_order.reserve(needed.size());
-    std::unordered_map<const Node*, int> position;
+    std::vector<int> position(id_bound, -1);
     for (const auto& node : graph.nodes()) {
-      if (needed.find(node.get()) == needed.end()) continue;
-      position[node.get()] = static_cast<int>(graph_order.size());
+      if (needed[id_of(node.get())] == 0) continue;
+      position[id_of(node.get())] = static_cast<int>(graph_order.size());
       graph_order.push_back(node.get());
     }
-    std::unordered_map<const Node*, int> indegree;
-    std::unordered_map<const Node*, std::vector<const Node*>> dependents;
-    for (const Node* node : graph_order) {
-      std::unordered_set<const Node*> producers;
-      for (const NodeOutput& input : node->inputs()) {
-        producers.insert(input.node);
-      }
-      for (const Node* control : node->control_inputs()) {
-        producers.insert(control);
-      }
-      indegree[node] = static_cast<int>(producers.size());
-      for (const Node* producer : producers) {
-        dependents[producer].push_back(node);
-      }
+    std::vector<int> indegree(graph_order.size(), 0);
+    std::vector<std::vector<int>> dependents(graph_order.size());
+    for (std::size_t i = 0; i < graph_order.size(); ++i) {
+      const Node* node = graph_order[i];
+      const auto count = [&](const Node* producer) {
+        int& last = stamp[id_of(producer)];
+        if (last == static_cast<int>(i)) return;
+        last = static_cast<int>(i);
+        ++indegree[i];
+        dependents[static_cast<std::size_t>(position[id_of(producer)])]
+            .push_back(static_cast<int>(i));
+      };
+      for (const NodeOutput& input : node->inputs()) count(input.node);
+      for (const Node* control : node->control_inputs()) count(control);
     }
-    std::priority_queue<std::pair<int, const Node*>,
-                        std::vector<std::pair<int, const Node*>>,
-                        std::greater<>>
-        ready;
-    for (const Node* node : graph_order) {
-      if (indegree[node] == 0) ready.emplace(position[node], node);
+    std::priority_queue<int, std::vector<int>, std::greater<>> ready;
+    for (std::size_t i = 0; i < graph_order.size(); ++i) {
+      if (indegree[i] == 0) ready.push(static_cast<int>(i));
     }
     order.reserve(graph_order.size());
     while (!ready.empty()) {
-      const Node* node = ready.top().second;
+      const int at = ready.top();
       ready.pop();
-      order.push_back(node);
-      for (const Node* consumer : dependents[node]) {
-        if (--indegree[consumer] == 0) {
-          ready.emplace(position[consumer], consumer);
+      order.push_back(graph_order[static_cast<std::size_t>(at)]);
+      for (const int consumer : dependents[static_cast<std::size_t>(at)]) {
+        if (--indegree[static_cast<std::size_t>(consumer)] == 0) {
+          ready.push(consumer);
         }
       }
     }
@@ -231,8 +239,13 @@ void ExecutionPlan::BuildDag(const Graph& graph) {
     }
   }
 
-  dag_nodes_.reserve(needed.size());
+  // Dense plan index per node id, for the edge pass below; dag_index_ keeps
+  // the pointer-keyed map that fusion and the verifier read.
+  std::vector<int> dense(id_bound, -1);
+  dag_nodes_.reserve(order.size());
+  dag_index_.reserve(order.size());
   for (const Node* node : order) {
+    dense[id_of(node)] = static_cast<int>(dag_nodes_.size());
     dag_index_[node] = static_cast<int>(dag_nodes_.size());
     DagNode entry;
     entry.node = node;
@@ -245,24 +258,24 @@ void ExecutionPlan::BuildDag(const Graph& graph) {
     dag_nodes_.push_back(std::move(entry));
   }
 
+  std::fill(stamp.begin(), stamp.end(), -1);
   for (std::size_t i = 0; i < dag_nodes_.size(); ++i) {
     DagNode& entry = dag_nodes_[i];
     const Node* node = entry.node;
-    std::unordered_set<int> producers;
+    const auto add_producer = [&](const Node* producer_node) {
+      int& last = stamp[id_of(producer_node)];
+      if (last == static_cast<int>(i)) return;
+      last = static_cast<int>(i);
+      ++entry.initial_pending;
+      dag_nodes_[static_cast<std::size_t>(dense[id_of(producer_node)])]
+          .consumers.push_back(static_cast<int>(i));
+    };
     entry.inputs.reserve(node->inputs().size());
     for (const NodeOutput& input : node->inputs()) {
-      const int producer = dag_index_.at(input.node);
-      entry.inputs.push_back({producer, input.index});
-      producers.insert(producer);
+      entry.inputs.push_back({dense[id_of(input.node)], input.index});
+      add_producer(input.node);
     }
-    for (const Node* control : node->control_inputs()) {
-      producers.insert(dag_index_.at(control));
-    }
-    entry.initial_pending = static_cast<int>(producers.size());
-    for (const int producer : producers) {
-      dag_nodes_[static_cast<std::size_t>(producer)].consumers.push_back(
-          static_cast<int>(i));
-    }
+    for (const Node* control : node->control_inputs()) add_producer(control);
   }
 
   dag_fetch_slots_.reserve(fetches_.size());

@@ -10,6 +10,7 @@
 #ifndef JANUS_TENSOR_TENSOR_H_
 #define JANUS_TENSOR_TENSOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -126,8 +127,13 @@ class Tensor {
   // same element count.
   Tensor Reshaped(Shape new_shape) const;
 
-  // Deep equality (dtype, shape, and every element).
+  // Deep equality (dtype, shape, and every element's bytes).
   bool ElementsEqual(const Tensor& other) const;
+
+  // The elements' raw bytes (byte_size() of them), for bitwise hashing.
+  std::span<const std::byte> bytes() const {
+    return {static_cast<const std::byte*>(raw()), byte_size()};
+  }
 
   // Identity of the underlying buffer (shared across Reshaped views). Used
   // by the eager tape to associate produced tensors with graph nodes.

@@ -1,11 +1,15 @@
 // Tests for the graph optimisation passes: constant folding, CSE,
 // arithmetic simplification, DCE, and the fixpoint driver — including the
-// invariant that optimisation never changes computed results.
+// invariant that optimisation never changes computed results, and that the
+// driver stops at its fixpoint on the generator's graph shape.
 #include "opt/passes.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
+#include "models/zoo.h"
 #include "runtime/executor.h"
 #include "tensor/ops.h"
 
@@ -216,6 +220,137 @@ TEST_F(OptTest, PurityClassification) {
   EXPECT_FALSE(IsPureOp("Switch"));
   EXPECT_FALSE(IsPureOp("Invoke"));
 }
+
+// ---- CSE compares constants and attributes bitwise ----
+
+TEST_F(OptTest, CseKeepsFloatConstantsThatDifferInTheLastBit) {
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  const float next = std::nextafter(1.0f, 2.0f);  // 1.0000001f
+  Node* m1 = g.AddNode("Mul", {x, g.Constant(Tensor::Scalar(1.0f))});
+  Node* m2 = g.AddNode("Mul", {x, g.Constant(Tensor::Scalar(next))});
+  Node* diff = g.AddNode("Sub", {{m2, 0}, {m1, 0}});
+  EXPECT_EQ(CommonSubexpressionElimination(g), 0);
+  EXPECT_NE(diff->input(0).node, diff->input(1).node);
+  const auto out = Run(g, {{diff, 0}}, {{"x", Tensor::Scalar(1.0f)}});
+  EXPECT_EQ(out[0].ScalarValue(), next - 1.0f);
+}
+
+TEST_F(OptTest, CseKeepsLargeInt64ConstantsApart) {
+  Graph g;
+  const NodeOutput a = g.Constant(Tensor::ScalarInt(1000000));
+  const NodeOutput b = g.Constant(Tensor::ScalarInt(1000001));
+  Node* diff = g.AddNode("Sub", {b, a});
+  EXPECT_EQ(CommonSubexpressionElimination(g), 0);
+  const auto out = Run(g, {{diff, 0}});
+  EXPECT_EQ(out[0].ScalarIntValue(), 1);
+}
+
+TEST_F(OptTest, CseKeepsDoubleAttrsThatDifferPastTheSixthDigit) {
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  g.AddNode("Square", {x}, {{"scale", 1.0}});
+  g.AddNode("Square", {x}, {{"scale", 1.0000001}});
+  g.AddNode("Square", {x}, {{"scale", 0.0}});
+  g.AddNode("Square", {x}, {{"scale", -0.0}});
+  EXPECT_EQ(CommonSubexpressionElimination(g), 0);
+  // Bitwise equal attributes still merge.
+  g.AddNode("Square", {x}, {{"scale", 1.0000001}});
+  EXPECT_EQ(CommonSubexpressionElimination(g), 1);
+}
+
+// ---- the fixpoint: a pass reports only real graph mutations ----
+
+// The generator's epilogue: the result fetched through an Identity, and a
+// NoOp anchor that orders the side effects (here, one variable update).
+struct Epilogue {
+  Graph graph;
+  std::vector<NodeOutput> fetches;
+};
+
+Epilogue MakeEpilogue(bool fold_result_into_zero) {
+  Epilogue e;
+  Graph& g = e.graph;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  NodeOutput value{g.AddNode("Square", {x}), 0};
+  if (fold_result_into_zero) {
+    value = {g.AddNode("Mul", {value, g.Constant(Tensor::Scalar(0.0f))}), 0};
+  }
+  Node* result = g.AddNode("Identity", {value});
+  Node* assign =
+      g.AddNode("AssignVariable", {value}, {{"var", std::string("w")}});
+  Node* anchor = g.AddNode("NoOp", {});
+  anchor->AddControlInput(assign);
+  e.fetches = {{result, 0}, {anchor, 0}};
+  return e;
+}
+
+TEST_F(OptTest, FetchedIdentityWithAnchorConvergesInTwoRounds) {
+  Epilogue e = MakeEpilogue(false);
+  const OptimizationStats stats = OptimizeGraph(e.graph, e.fetches);
+  EXPECT_LE(stats.rounds, 2);
+  // The fetched Identity feeds nothing; rewriting it would rewire no edge.
+  EXPECT_EQ(stats.simplified, 0);
+  EXPECT_EQ(e.fetches[0].node->op(), "Identity");
+}
+
+TEST_F(OptTest, FetchedMulByZeroAddsNoZerosLikeEachRound) {
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* mul = g.AddNode("Mul", {x, g.Constant(Tensor::Scalar(0.0f))});
+  const std::vector<NodeOutput> fetches{{mul, 0}};
+  const int ids_before = g.id_bound();
+  const OptimizationStats stats = OptimizeGraph(g, fetches);
+  EXPECT_EQ(stats.rounds, 1);
+  EXPECT_EQ(stats.simplified + stats.dce_removed, 0);
+  // No ZerosLike was added (and then removed by DCE) on any round.
+  EXPECT_EQ(g.id_bound(), ids_before);
+  for (const auto& node : g.nodes()) EXPECT_NE(node->op(), "ZerosLike");
+
+  // A Mul-by-zero that something reads is still rewritten, once.
+  Epilogue e = MakeEpilogue(true);
+  const OptimizationStats read = OptimizeGraph(e.graph, e.fetches);
+  EXPECT_EQ(read.simplified, 1);
+  EXPECT_LE(read.rounds, 2);
+  EXPECT_EQ(e.fetches[0].node->input(0).node->op(), "ZerosLike");
+}
+
+class ZooFixpoint : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ZooFixpoint, GeneratedGraphsAreAlreadyAtTheFixpoint) {
+  const models::ModelSpec& spec = models::FindModel(GetParam());
+  EngineOptions options;
+  options.private_cache = true;
+  models::ModelSession session(spec, options);
+  for (int i = 0; i < 4; ++i) session.Step();
+  int units = 0;
+  session.engine().ForEachCompiledUnit(
+      [&](const std::string& name, const CompiledGraph& unit) {
+        ++units;
+        // Re-running the optimizer on an optimized graph must find nothing
+        // to do: its nodes and edges only change if this expectation fails.
+        Graph& graph = const_cast<Graph&>(unit.graph);
+        const std::size_t nodes = graph.num_nodes();
+        const OptimizationStats stats = OptimizeGraph(graph, unit.fetches);
+        EXPECT_EQ(stats.rounds, 1) << spec.name << " " << name;
+        EXPECT_EQ(stats.folded + stats.simplified + stats.cse_merged +
+                      stats.dce_removed,
+                  0)
+            << spec.name << " " << name << ": folded=" << stats.folded
+            << " simplified=" << stats.simplified
+            << " merged=" << stats.cse_merged
+            << " removed=" << stats.dce_removed;
+        EXPECT_EQ(graph.num_nodes(), nodes);
+      });
+  if (session.engine().stats().graph_executions > 0) {
+    EXPECT_GT(units, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ZooFixpoint,
+    ::testing::Values("LeNet", "ResNet50", "Inception-v3", "LSTM", "LM",
+                      "TreeRNN", "TreeLSTM", "A3C", "PPO", "AN", "pix2pix"));
 
 }  // namespace
 }  // namespace janus

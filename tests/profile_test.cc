@@ -215,6 +215,154 @@ TEST_F(ProfileTest, ThreadedRecordingLosesNoCountsOrTime) {
   profile.Record(4, 5);
 }
 
+// ---- export scaling and retention of destroyed plans' profiles ----
+
+// Two plain nodes and one fused region of two members, keyed like an
+// engine-built plan.
+std::shared_ptr<PlanProfile> MakeKeyedProfile(const std::string& variant) {
+  std::vector<ProfileNodeInfo> infos(3);
+  infos[0].name = "MatMul_1";
+  infos[0].op = "MatMul";
+  infos[0].site = {"loss_fn", 3, 0};
+  infos[1].name = "Add_2";
+  infos[1].op = "Add";
+  infos[1].site = {"loss_fn", 4, 1};
+  infos[2].name = "fused_3";
+  infos[2].op = "FusedRegion";
+  infos[2].members.resize(2);
+  infos[2].members[0].name = "Mul_4";
+  infos[2].members[0].op = "Mul";
+  infos[2].members[0].site = {"loss_fn", 4, 1};
+  infos[2].members[1].name = "Exp_5";
+  infos[2].members[1].op = "Exp";
+  infos[2].members[1].site = {"loss_fn", 5, 2};
+  auto profile = std::make_shared<PlanProfile>(std::move(infos));
+  profile->SetKey("loss_fn", variant, 0);
+  return profile;
+}
+
+TEST_F(ProfileTest, SampleMaxIsOneExecutionAndNotScaledByTheStride) {
+  auto profile = MakeKeyedProfile("v");
+  ProfileRegistry::Global().Register(profile);
+  profile->Record(0, 1000);
+  profile->Record(0, 400);
+  const std::vector<ProfileSample> samples = obs::CollectProfileSamples();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].count, 2u * obs::kProfileSampleEvery);
+  EXPECT_EQ(samples[0].total_ns, 1400u * obs::kProfileSampleEvery);
+  EXPECT_EQ(samples[0].max_ns, 1000u);
+}
+
+TEST_F(ProfileTest, DestroyedProfilesKeepTheirTotalsButNotTheirMemory) {
+  auto first = MakeKeyedProfile("training(lr=0.1)");
+  auto second = MakeKeyedProfile("training(lr=0.1)");  // same key, re-built
+  auto other = MakeKeyedProfile("training(lr=0.2)");
+  for (const auto& profile : {first, second, other}) {
+    ProfileRegistry::Global().Register(profile);
+    profile->SetGenerationNs(5000);
+    profile->AddValidationNs(70);
+    profile->AddRun();
+  }
+  first->Record(0, 900);
+  first->Record(2, 600);
+  second->Record(0, 300);
+  second->Record(1, 50);
+  other->Record(2, 800);
+
+  const auto totals_before = obs::CollectProfileUnitTotals();
+  const std::string folded_before = obs::RenderFoldedStacks();
+  const std::map<std::string, double> means_before = obs::ProfileNodeMeanNs();
+  std::uint64_t count_before = 0;
+  std::uint64_t max_before = 0;
+  for (const ProfileSample& sample : obs::CollectProfileSamples()) {
+    count_before += sample.count;
+    if (sample.node == "MatMul_1") {
+      max_before = std::max(max_before, sample.max_ns);
+    }
+  }
+
+  // The registry does not keep the plans' profiles alive.
+  const std::weak_ptr<PlanProfile> watch = first;
+  first.reset();
+  second.reset();
+  other.reset();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(ProfileRegistry::Global().Profiles().empty());
+
+  // Every export reports what it reported while the plans were alive.
+  const auto totals_after = obs::CollectProfileUnitTotals();
+  ASSERT_EQ(totals_after.size(), totals_before.size());
+  ASSERT_EQ(totals_after.size(), 2u);
+  for (std::size_t i = 0; i < totals_after.size(); ++i) {
+    EXPECT_EQ(totals_after[i].unit, totals_before[i].unit);
+    EXPECT_EQ(totals_after[i].variant, totals_before[i].variant);
+    EXPECT_EQ(totals_after[i].generation_ns, totals_before[i].generation_ns);
+    EXPECT_EQ(totals_after[i].validation_ns, totals_before[i].validation_ns);
+    EXPECT_EQ(totals_after[i].execution_ns, totals_before[i].execution_ns);
+    EXPECT_EQ(totals_after[i].runs, totals_before[i].runs);
+  }
+  EXPECT_EQ(totals_after[0].runs, 2u);  // lr=0.1 folded from two plans
+  EXPECT_EQ(totals_after[0].generation_ns, 10000);
+  EXPECT_EQ(obs::RenderFoldedStacks(), folded_before);
+  EXPECT_EQ(obs::ProfileNodeMeanNs(), means_before);
+  std::uint64_t count_after = 0;
+  std::uint64_t max_after = 0;
+  for (const ProfileSample& sample : obs::CollectProfileSamples()) {
+    count_after += sample.count;
+    if (sample.node == "MatMul_1") {
+      max_after = std::max(max_after, sample.max_ns);
+    }
+  }
+  EXPECT_EQ(count_after, count_before);
+  EXPECT_EQ(max_after, 900u);
+  EXPECT_EQ(max_after, max_before);
+  std::string error;
+  ASSERT_TRUE(obs::ValidateProfileJson(obs::RenderProfileJson(), &error,
+                                       nullptr))
+      << error;
+}
+
+TEST_F(ProfileTest, EngineUnitTotalsSurviveTheSessionThatBuiltThem) {
+  obs::EnableProfiling();
+  std::vector<obs::ProfileUnitTotals> before;
+  {
+    EngineOptions options;
+    options.private_cache = true;  // the session owns every plan it builds
+    Session session(options);
+    session.interp.Run(kTrainingScript);
+    before = obs::CollectProfileUnitTotals();
+  }
+  const std::vector<obs::ProfileUnitTotals> after =
+      obs::CollectProfileUnitTotals();
+  const auto find = [](const std::vector<obs::ProfileUnitTotals>& units) {
+    obs::ProfileUnitTotals sum;
+    for (const obs::ProfileUnitTotals& unit : units) {
+      if (unit.unit != "loss_fn") continue;
+      sum.runs += unit.runs;
+      sum.generation_ns += unit.generation_ns;
+      sum.execution_ns += unit.execution_ns;
+    }
+    return sum;
+  };
+  EXPECT_GT(find(before).runs, 0u);
+  EXPECT_EQ(find(after).runs, find(before).runs);
+  EXPECT_EQ(find(after).generation_ns, find(before).generation_ns);
+  EXPECT_EQ(find(after).execution_ns, find(before).execution_ns);
+}
+
+TEST_F(ProfileTest, RetiredKeysAreBounded) {
+  const std::size_t extra = 3;
+  for (std::size_t i = 0; i < ProfileRegistry::kMaxRetiredKeys + extra; ++i) {
+    auto profile = MakeKeyedProfile("variant" + std::to_string(i));
+    ProfileRegistry::Global().Register(profile);
+    profile->AddRun();
+  }
+  EXPECT_EQ(ProfileRegistry::Global().RetiredUnitTotals().size(),
+            ProfileRegistry::kMaxRetiredKeys);
+  EXPECT_EQ(ProfileRegistry::Global().dropped(), extra);
+  EXPECT_TRUE(ProfileRegistry::Global().Profiles().empty());
+}
+
 // ---- pprof encoding: gzip container + protobuf round-trip ----
 
 TEST_F(ProfileTest, GzipRoundTripsIncludingMultiBlockAndEmpty) {
