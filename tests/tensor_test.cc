@@ -11,6 +11,12 @@
 #include "tensor/tensor.h"
 
 namespace janus {
+
+// Prints shapes by their dims. Without it gtest prints a Shape's raw bytes,
+// which are heap addresses, so parameterized test names would change on
+// every run. Found by argument-dependent lookup, so it sits in janus.
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.ToString(); }
+
 namespace {
 
 using ::testing::Test;
