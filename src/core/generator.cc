@@ -10,6 +10,7 @@
 #include "core/host_state.h"
 #include "frontend/builtins.h"
 #include "opt/passes.h"
+#include "tensor/elementwise.h"
 
 namespace janus {
 namespace {
@@ -185,16 +186,13 @@ void CollectAssigned(const std::vector<minipy::StmtPtr>& body,
   }
 }
 
-DType ArithResultDType(const std::string& op, DType a, DType b) {
-  if (op == "Equal" || op == "NotEqual" || op == "Less" ||
-      op == "LessEqual" || op == "Greater" || op == "GreaterEqual" ||
-      op == "LogicalAnd" || op == "LogicalOr") {
-    return DType::kBool;
-  }
-  if (op == "Div") return DType::kFloat32;
-  if (a == DType::kFloat32 || b == DType::kFloat32) return DType::kFloat32;
-  if (a == DType::kInt64 || b == DType::kInt64) return DType::kInt64;
-  return a;
+// The result dtype of `op` on operands of dtype `operand` (callers align
+// operand dtypes first): the op table's rule for elementwise ops, the
+// operand dtype for every other op.
+DType ResultDType(const std::string& op, DType operand) {
+  const elementwise::OpRow* row = elementwise::FindRow(op);
+  const auto d = static_cast<std::size_t>(operand);
+  return row != nullptr && row->block[d] != nullptr ? row->result[d] : operand;
 }
 
 const char* BinOpName(BinaryOp op) {
@@ -1429,7 +1427,7 @@ struct GraphGenerator::Impl {
       lt = rt = DType::kInt64;
     }
     const char* name = BinOpName(op);
-    const DType result_dt = ArithResultDType(name, lt, rt);
+    const DType result_dt = ResultDType(name, lt);
     // Merge shape knowledge when both operands carry it.
     ShapeAssumption result_shape = ShapeAssumption::Unknown();
     if (lhs.IsNode() && lhs.shape.IsExact() &&
@@ -2191,7 +2189,7 @@ SymValue GraphGenerator::Impl::EvalBuiltinCall(
     const DType out_dt =
         info->graph_op == "SoftmaxCrossEntropy" || info->graph_op == "Gather"
             ? DType::kFloat32
-            : ArithResultDType(info->graph_op, dt, dt);
+            : ResultDType(info->graph_op, dt);
     return make(n, out_dt);
   }
 

@@ -6,6 +6,7 @@
 
 #include "frontend/parser.h"
 #include "graph/source_site.h"
+#include "tensor/elementwise.h"
 #include "tensor/ops.h"
 
 namespace janus::minipy {
@@ -387,7 +388,9 @@ struct Interpreter::Impl {
         Value operand = Eval(expr->left.get(), env);
         if (expr->unary_op == UnaryOp::kNot) return !Truthy(operand);
         // Negation.
-        if (const auto* i = std::get_if<std::int64_t>(&operand)) return -*i;
+        if (const auto* i = std::get_if<std::int64_t>(&operand)) {
+          return elementwise::Neg::I64(*i);
+        }
         if (const auto* d = std::get_if<double>(&operand)) return -*d;
         if (IsTensorish(operand)) {
           return self->eager_.Execute("Neg", {self->ToTensor(operand)});
@@ -860,34 +863,27 @@ Value Interpreter::BinaryOperation(BinaryOp op, const Value& lhs,
   const auto li = as_int(lhs);
   const auto ri = as_int(rhs);
   if (li.has_value() && ri.has_value()) {
+    // int64 semantics (wrapping overflow, floor division) are the
+    // elementwise op table's.
     switch (op) {
-      case BinaryOp::kAdd: return *li + *ri;
-      case BinaryOp::kSub: return *li - *ri;
-      case BinaryOp::kMul: return *li * *ri;
+      case BinaryOp::kAdd: return elementwise::Add::I64(*li, *ri);
+      case BinaryOp::kSub: return elementwise::Sub::I64(*li, *ri);
+      case BinaryOp::kMul: return elementwise::Mul::I64(*li, *ri);
       case BinaryOp::kDiv:
         if (*ri == 0) throw MiniPyError("division by zero");
         return static_cast<double>(*li) / static_cast<double>(*ri);
-      case BinaryOp::kFloorDiv: {
+      case BinaryOp::kFloorDiv:
         if (*ri == 0) throw MiniPyError("integer division by zero");
-        std::int64_t q = *li / *ri;
-        if ((*li % *ri != 0) && ((*li < 0) != (*ri < 0))) --q;
-        return q;
-      }
-      case BinaryOp::kMod: {
+        return elementwise::FloorDiv::I64(*li, *ri);
+      case BinaryOp::kMod:
         if (*ri == 0) throw MiniPyError("integer modulo by zero");
-        std::int64_t r = *li % *ri;
-        if (r != 0 && ((r < 0) != (*ri < 0))) r += *ri;
-        return r;
-      }
-      case BinaryOp::kPow: {
+        return elementwise::Mod::I64(*li, *ri);
+      case BinaryOp::kPow:
         if (*ri < 0) {
           return std::pow(static_cast<double>(*li),
                           static_cast<double>(*ri));
         }
-        std::int64_t result = 1;
-        for (std::int64_t k = 0; k < *ri; ++k) result *= *li;
-        return result;
-      }
+        return elementwise::Pow::I64(*li, *ri);
     }
   }
   // Float path.

@@ -2,20 +2,18 @@
 //
 // Layout of this file:
 //   1. Kill switch (JANUS_FUSION).
-//   2. Fusable-op table and region formation (shared core over a strategy-
-//      neutral candidate view, then DAG / dynamic rewrites).
-//   3. Runtime specialization (FusedSpec): dtype/shape propagation that
-//      mirrors the unfused kernels' checks exactly, block-kernel selection,
-//      scratch layout, and the content-addressed FusedKernelCache.
+//   2. Region formation (shared core over a strategy-neutral candidate view,
+//      then DAG / dynamic rewrites); fusable ops are the op table's rows.
+//   3. Runtime specialization (FusedSpec): dtype/shape propagation and
+//      block-kernel selection from the op table rows, scratch layout, and
+//      the content-addressed FusedKernelCache.
 //   4. Execution: block interpreter (fused path) and per-member fallback.
 #include "runtime/fusion.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string_view>
 #include <unordered_set>
@@ -58,62 +56,16 @@ using DynNode = ExecutionPlan::DynNode;
 using OpKind = ExecutionPlan::OpKind;
 
 // ---------------------------------------------------------------------------
-// Fusable-op table.
-// ---------------------------------------------------------------------------
-
-struct OpEntry {
-  FusedOp op;
-  int arity;
-  bool reduction;
-};
-
-const std::unordered_map<std::string_view, OpEntry>& FusableOps() {
-  static const auto* table = new std::unordered_map<std::string_view, OpEntry>{
-      {"Neg", {FusedOp::kNeg, 1, false}},
-      {"Abs", {FusedOp::kAbs, 1, false}},
-      {"Sign", {FusedOp::kSign, 1, false}},
-      {"Exp", {FusedOp::kExp, 1, false}},
-      {"Log", {FusedOp::kLog, 1, false}},
-      {"Sqrt", {FusedOp::kSqrt, 1, false}},
-      {"Square", {FusedOp::kSquare, 1, false}},
-      {"Tanh", {FusedOp::kTanh, 1, false}},
-      {"Sigmoid", {FusedOp::kSigmoid, 1, false}},
-      {"Relu", {FusedOp::kRelu, 1, false}},
-      {"LogicalNot", {FusedOp::kLogicalNot, 1, false}},
-      {"Add", {FusedOp::kAdd, 2, false}},
-      {"Sub", {FusedOp::kSub, 2, false}},
-      {"Mul", {FusedOp::kMul, 2, false}},
-      {"Div", {FusedOp::kDiv, 2, false}},
-      {"FloorDiv", {FusedOp::kFloorDiv, 2, false}},
-      {"Mod", {FusedOp::kMod, 2, false}},
-      {"Pow", {FusedOp::kPow, 2, false}},
-      {"Maximum", {FusedOp::kMaximum, 2, false}},
-      {"Minimum", {FusedOp::kMinimum, 2, false}},
-      {"ReluGrad", {FusedOp::kReluGrad, 2, false}},
-      {"Equal", {FusedOp::kEqual, 2, false}},
-      {"NotEqual", {FusedOp::kNotEqual, 2, false}},
-      {"Less", {FusedOp::kLess, 2, false}},
-      {"LessEqual", {FusedOp::kLessEqual, 2, false}},
-      {"Greater", {FusedOp::kGreater, 2, false}},
-      {"GreaterEqual", {FusedOp::kGreaterEqual, 2, false}},
-      {"LogicalAnd", {FusedOp::kLogicalAnd, 2, false}},
-      {"LogicalOr", {FusedOp::kLogicalOr, 2, false}},
-      {"ReduceSum", {FusedOp::kReduceSum, 1, true}},
-      {"ReduceMean", {FusedOp::kReduceMean, 1, true}},
-  };
-  return *table;
-}
-
-// ---------------------------------------------------------------------------
 // Region formation over a strategy-neutral candidate view.
 // ---------------------------------------------------------------------------
 
 struct Candidate {
   const Node* node = nullptr;
   const KernelFn* kernel = nullptr;
-  FusedOp op = FusedOp::kAdd;
-  bool elementwise = false;  // fusable non-reduction; may be member or root
-  bool reduction = false;    // fusable reduction; root only
+  // Fusable elementwise op (may be member or root): its op table row.
+  const elementwise::OpRow* row = nullptr;
+  bool reduction = false;    // ReduceSum/ReduceMean; root only
+  bool reduce_mean = false;
   bool has_control = false;  // any control producer or consumer
   bool is_protected = false; // feeds a fetch slot
   std::span<const DagInput> inputs;
@@ -122,19 +74,17 @@ struct Candidate {
 
 void ClassifyCandidate(Candidate& cand) {
   const Node* node = cand.node;
-  const auto it = FusableOps().find(node->op());
-  if (it == FusableOps().end()) return;
-  const OpEntry& entry = it->second;
-  if (node->num_outputs() != 1 || node->num_inputs() != entry.arity) return;
-  if (entry.reduction &&
-      (!node->HasAttr("axes") || !node->HasAttr("keep_dims"))) {
+  if (node->num_outputs() != 1) return;
+  const elementwise::OpRow* row = elementwise::FindRow(node->op());
+  if (row != nullptr) {
+    if (row->fusable && node->num_inputs() == row->arity) cand.row = row;
     return;
   }
-  cand.op = entry.op;
-  if (entry.reduction) {
+  const bool mean = node->op() == "ReduceMean";
+  if ((mean || node->op() == "ReduceSum") && node->num_inputs() == 1 &&
+      node->HasAttr("axes") && node->HasAttr("keep_dims")) {
     cand.reduction = true;
-  } else {
-    cand.elementwise = true;
+    cand.reduce_mean = mean;
   }
 }
 
@@ -156,7 +106,7 @@ std::vector<std::vector<int>> CollectRegions(
   for (int root = n - 1; root >= 0; --root) {
     const auto ur = static_cast<std::size_t>(root);
     if (claimed[ur]) continue;
-    if (!cand[ur].elementwise && !cand[ur].reduction) continue;
+    if (cand[ur].row == nullptr && !cand[ur].reduction) continue;
     std::vector<int> members{root};
     in_region[ur] = 1;
     bool changed = true;
@@ -168,7 +118,7 @@ std::vector<std::vector<int>> CollectRegions(
           const auto up = static_cast<std::size_t>(input.producer);
           if (input.slot != 0 || in_region[up]) continue;
           const Candidate& pc = cand[up];
-          if (!pc.elementwise || pc.has_control || pc.is_protected ||
+          if (pc.row == nullptr || pc.has_control || pc.is_protected ||
               claimed[up]) {
             continue;
           }
@@ -237,7 +187,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
     FusedRegionPlan::Member member;
     member.node = c.node;
     member.kernel = c.kernel;
-    member.op = c.op;
+    member.row = c.row;
     member.value_id = num_externals + static_cast<int>(i);
     int* slots[2] = {&member.a, &member.b};
     int slot_index = 0;
@@ -261,6 +211,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
     signature += ')';
     if (c.reduction) {
       plan.has_reduction = true;
+      member.reduce_mean = c.reduce_mean;
       member.axes = c.node->GetIntListAttr("axes");
       member.keep_dims = c.node->GetBoolAttr("keep_dims");
       signature += "[axes=";
@@ -502,8 +453,7 @@ int FuseDynPlan(std::vector<DynNode>& nodes, std::vector<DagInput>& fetch_slots,
 
 namespace internal {
 struct BlockInstr {
-  void (*fn)(char* const* vals, const BlockInstr& instr,
-             std::int64_t count) = nullptr;
+  elementwise::BlockFn fn = nullptr;
   int out = -1;
   int a = -1;
   int b = -1;
@@ -551,197 +501,7 @@ namespace {
 
 constexpr std::int64_t kBlockElements = 1024;
 
-// ---- block kernels: exact replicas of the ops_elementwise.cc lambdas ----
-
-template <typename T, typename O, typename F>
-void UnaryBlock(char* const* vals, const BlockInstr& instr,
-                std::int64_t count) {
-  const T* a = reinterpret_cast<const T*>(vals[instr.a]);
-  O* o = reinterpret_cast<O*>(vals[instr.out]);
-  for (std::int64_t i = 0; i < count; ++i) {
-    o[i] = F::Apply(a[i]);
-  }
-}
-
-template <typename T, typename O, typename F>
-void BinaryBlock(char* const* vals, const BlockInstr& instr,
-                 std::int64_t count) {
-  const T* a = reinterpret_cast<const T*>(vals[instr.a]);
-  const T* b = reinterpret_cast<const T*>(vals[instr.b]);
-  O* o = reinterpret_cast<O*>(vals[instr.out]);
-  for (std::int64_t i = 0; i < count; ++i) {
-    o[i] = F::Apply(a[i], b[i]);
-  }
-}
-
-struct FNeg {
-  template <typename T>
-  static T Apply(T x) {
-    return -x;
-  }
-};
-struct FAbs {
-  static float Apply(float x) { return std::fabs(x); }
-  static std::int64_t Apply(std::int64_t x) { return x < 0 ? -x : x; }
-};
-struct FSign {
-  static float Apply(float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-  }
-};
-struct FExp {
-  static float Apply(float x) { return std::exp(x); }
-};
-struct FLog {
-  static float Apply(float x) { return std::log(x); }
-};
-struct FSqrt {
-  static float Apply(float x) { return std::sqrt(x); }
-};
-struct FSquare {
-  static float Apply(float x) { return x * x; }
-};
-struct FTanh {
-  static float Apply(float x) { return std::tanh(x); }
-};
-struct FSigmoid {
-  static float Apply(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-};
-struct FRelu {
-  static float Apply(float x) { return x > 0.0f ? x : 0.0f; }
-};
-struct FNot {
-  static std::uint8_t Apply(std::uint8_t x) {
-    return static_cast<std::uint8_t>(x != 0 ? 0 : 1);
-  }
-};
-struct FAdd {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x + y;
-  }
-};
-struct FSub {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x - y;
-  }
-};
-struct FMul {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x * y;
-  }
-};
-struct FDiv {
-  static float Apply(float x, float y) { return x / y; }
-};
-struct FFloorDiv {
-  static float Apply(float x, float y) { return std::floor(x / y); }
-};
-struct FMod {
-  static float Apply(float x, float y) { return x - y * std::floor(x / y); }
-};
-struct FPow {
-  static float Apply(float x, float y) { return std::pow(x, y); }
-  static std::int64_t Apply(std::int64_t x, std::int64_t y) {
-    std::int64_t result = 1;
-    for (std::int64_t i = 0; i < y; ++i) result *= x;
-    return result;
-  }
-};
-struct FMax {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x > y ? x : y;
-  }
-};
-struct FMin {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x < y ? x : y;
-  }
-};
-struct FReluGrad {
-  static float Apply(float g, float x) { return x > 0.0f ? g : 0.0f; }
-};
-struct CEq {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x == y;
-  }
-};
-struct CNe {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x != y;
-  }
-};
-struct CLt {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x < y;
-  }
-};
-struct CLe {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x <= y;
-  }
-};
-struct CGt {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x > y;
-  }
-};
-struct CGe {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x >= y;
-  }
-};
-template <typename C>
-struct FCmp {
-  template <typename T>
-  static std::uint8_t Apply(T x, T y) {
-    return static_cast<std::uint8_t>(C::Test(x, y) ? 1 : 0);
-  }
-};
-// Bool comparisons compare truthiness, as Compare<bool> does.
-template <typename C>
-struct FBoolCmp {
-  static std::uint8_t Apply(std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint8_t>(C::Test(x != 0, y != 0) ? 1 : 0);
-  }
-};
-struct FAnd {
-  static std::uint8_t Apply(std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint8_t>((x != 0 && y != 0) ? 1 : 0);
-  }
-};
-struct FOr {
-  static std::uint8_t Apply(std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint8_t>((x != 0 || y != 0) ? 1 : 0);
-  }
-};
-
-using BlockFn = void (*)(char* const*, const BlockInstr&, std::int64_t);
-
-template <typename C>
-BlockFn CompareFn(DType dtype) {
-  switch (dtype) {
-    case DType::kFloat32:
-      return &BinaryBlock<float, std::uint8_t, FCmp<C>>;
-    case DType::kInt64:
-      return &BinaryBlock<std::int64_t, std::uint8_t, FCmp<C>>;
-    case DType::kBool:
-      return &BinaryBlock<std::uint8_t, std::uint8_t, FBoolCmp<C>>;
-  }
-  return nullptr;
-}
-
-// ---- dtype/shape propagation (mirrors the unfused kernels' checks) ----
+// ---- dtype/shape propagation ----
 
 struct ValueInfo {
   DType dtype = DType::kFloat32;
@@ -801,211 +561,68 @@ bool PopulateSpec(const FusedRegionPlan& region, std::span<const Tensor> inputs,
 
   for (const FusedRegionPlan::Member& m : region.members) {
     const ValueInfo& a = values[static_cast<std::size_t>(m.a)];
-    const ValueInfo* b =
-        m.b >= 0 ? &values[static_cast<std::size_t>(m.b)] : nullptr;
-    BlockInstr instr;
-    instr.out = m.value_id;
-    instr.a = m.a;
-    instr.b = m.b;
-    ValueInfo out;
-
-    const auto float_unary = [&](BlockFn fn) {
-      if (a.dtype != DType::kFloat32) return false;
-      instr.fn = fn;
-      out = {DType::kFloat32, a.shape};
-      return true;
-    };
-    const auto numeric_binary = [&](BlockFn ffn, BlockFn ifn) {
-      if (a.dtype != b->dtype || a.dtype == DType::kBool) return false;
-      Shape shape;
-      if (!TryBroadcast(a.shape, b->shape, &shape)) return false;
-      instr.fn = a.dtype == DType::kFloat32 ? ffn : ifn;
-      if (instr.fn == nullptr) return false;
-      out = {a.dtype, shape};
-      return true;
-    };
-    const auto compare_binary = [&](BlockFn fn) {
-      if (a.dtype != b->dtype) return false;
-      Shape shape;
-      if (!TryBroadcast(a.shape, b->shape, &shape)) return false;
-      instr.fn = fn;
-      out = {DType::kBool, shape};
-      return true;
-    };
-
-    bool ok = false;
-    switch (m.op) {
-      case FusedOp::kNeg:
-        if (a.dtype == DType::kInt64) {
-          instr.fn = &UnaryBlock<std::int64_t, std::int64_t, FNeg>;
-          out = {DType::kInt64, a.shape};
-          ok = true;
-        } else {
-          ok = float_unary(&UnaryBlock<float, float, FNeg>);
+    if (m.row != nullptr) {
+      // The row's own checks, as the unfused kernel makes them. A
+      // combination the row rejects runs per member and raises the unfused
+      // kernel's error; so does an int64 functor that may throw mid-tensor
+      // (FloorDiv/Mod by zero), keeping the error at the exact member node.
+      const elementwise::OpRow& row = *m.row;
+      ValueInfo out = a;
+      if (m.b >= 0) {
+        const ValueInfo& b = values[static_cast<std::size_t>(m.b)];
+        if (b.dtype != a.dtype) return false;
+        if (row.broadcast ? !TryBroadcast(a.shape, b.shape, &out.shape)
+                          : a.shape != b.shape) {
+          return false;
         }
-        break;
-      case FusedOp::kAbs:
-        if (a.dtype == DType::kInt64) {
-          instr.fn = &UnaryBlock<std::int64_t, std::int64_t, FAbs>;
-          out = {DType::kInt64, a.shape};
-          ok = true;
-        } else {
-          ok = float_unary(&UnaryBlock<float, float, FAbs>);
-        }
-        break;
-      case FusedOp::kSign:
-        ok = float_unary(&UnaryBlock<float, float, FSign>);
-        break;
-      case FusedOp::kExp:
-        ok = float_unary(&UnaryBlock<float, float, FExp>);
-        break;
-      case FusedOp::kLog:
-        ok = float_unary(&UnaryBlock<float, float, FLog>);
-        break;
-      case FusedOp::kSqrt:
-        ok = float_unary(&UnaryBlock<float, float, FSqrt>);
-        break;
-      case FusedOp::kSquare:
-        ok = float_unary(&UnaryBlock<float, float, FSquare>);
-        break;
-      case FusedOp::kTanh:
-        ok = float_unary(&UnaryBlock<float, float, FTanh>);
-        break;
-      case FusedOp::kSigmoid:
-        ok = float_unary(&UnaryBlock<float, float, FSigmoid>);
-        break;
-      case FusedOp::kRelu:
-        ok = float_unary(&UnaryBlock<float, float, FRelu>);
-        break;
-      case FusedOp::kLogicalNot:
-        if (a.dtype != DType::kBool) break;
-        instr.fn = &UnaryBlock<std::uint8_t, std::uint8_t, FNot>;
-        out = {DType::kBool, a.shape};
-        ok = true;
-        break;
-      case FusedOp::kAdd:
-        ok = numeric_binary(&BinaryBlock<float, float, FAdd>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FAdd>);
-        break;
-      case FusedOp::kSub:
-        ok = numeric_binary(&BinaryBlock<float, float, FSub>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FSub>);
-        break;
-      case FusedOp::kMul:
-        ok = numeric_binary(&BinaryBlock<float, float, FMul>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FMul>);
-        break;
-      case FusedOp::kDiv:
-        // int64 Div promotes to float through Cast in the unfused kernel;
-        // fall back so the promotion chain stays bit-identical.
-        ok = numeric_binary(&BinaryBlock<float, float, FDiv>, nullptr);
-        break;
-      case FusedOp::kFloorDiv:
-        // Integer FloorDiv/Mod can throw division-by-zero mid-tensor; the
-        // fallback keeps error attribution at the exact member node.
-        ok = numeric_binary(&BinaryBlock<float, float, FFloorDiv>, nullptr);
-        break;
-      case FusedOp::kMod:
-        ok = numeric_binary(&BinaryBlock<float, float, FMod>, nullptr);
-        break;
-      case FusedOp::kPow:
-        ok = numeric_binary(&BinaryBlock<float, float, FPow>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FPow>);
-        break;
-      case FusedOp::kMaximum:
-        ok = numeric_binary(&BinaryBlock<float, float, FMax>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FMax>);
-        break;
-      case FusedOp::kMinimum:
-        ok = numeric_binary(&BinaryBlock<float, float, FMin>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FMin>);
-        break;
-      case FusedOp::kReluGrad:
-        if (a.dtype != DType::kFloat32 || b->dtype != DType::kFloat32) break;
-        if (a.shape != b->shape) break;  // unfused kernel throws
-        instr.fn = &BinaryBlock<float, float, FReluGrad>;
-        out = {DType::kFloat32, a.shape};
-        ok = true;
-        break;
-      case FusedOp::kEqual:
-        ok = compare_binary(CompareFn<CEq>(a.dtype));
-        break;
-      case FusedOp::kNotEqual:
-        ok = compare_binary(CompareFn<CNe>(a.dtype));
-        break;
-      case FusedOp::kLess:
-        ok = compare_binary(CompareFn<CLt>(a.dtype));
-        break;
-      case FusedOp::kLessEqual:
-        ok = compare_binary(CompareFn<CLe>(a.dtype));
-        break;
-      case FusedOp::kGreater:
-        ok = compare_binary(CompareFn<CGt>(a.dtype));
-        break;
-      case FusedOp::kGreaterEqual:
-        ok = compare_binary(CompareFn<CGe>(a.dtype));
-        break;
-      case FusedOp::kLogicalAnd:
-      case FusedOp::kLogicalOr:
-        // Non-bool operands hit a dtype-mismatch error in the unfused kernel;
-        // reproduce through the fallback.
-        if (a.dtype != DType::kBool || b->dtype != DType::kBool) break;
-        {
-          Shape shape;
-          if (!TryBroadcast(a.shape, b->shape, &shape)) break;
-          instr.fn = m.op == FusedOp::kLogicalAnd
-                         ? &BinaryBlock<std::uint8_t, std::uint8_t, FAnd>
-                         : &BinaryBlock<std::uint8_t, std::uint8_t, FOr>;
-          out = {DType::kBool, shape};
-          ok = true;
-        }
-        break;
-      case FusedOp::kReduceSum:
-      case FusedOp::kReduceMean: {
-        if (a.dtype != DType::kFloat32) return false;
-        std::vector<int> axes;
-        if (!NormalizeReduceAxes(m.axes, a.shape.rank(), &axes)) return false;
-        spec.has_reduction = true;
-        spec.reduce_mean = m.op == FusedOp::kReduceMean;
-        spec.iter_shape = a.shape;
-        spec.root_value = m.a;
-        spec.root_dtype = DType::kFloat32;
-        // ReducedShape replica.
-        std::vector<std::int64_t> out_dims;
-        for (int i = 0; i < a.shape.rank(); ++i) {
-          const bool reduced = std::binary_search(axes.begin(), axes.end(), i);
-          if (reduced) {
-            if (m.keep_dims) out_dims.push_back(1);
-          } else {
-            out_dims.push_back(a.shape.dim(i));
-          }
-        }
-        spec.out_shape = Shape(std::move(out_dims));
-        // Full-rank output strides with 0 on reduced axes (ReduceImpl).
-        const int rank = a.shape.rank();
-        spec.red_in_dims = a.shape.dims();
-        spec.red_out_strides.assign(static_cast<std::size_t>(rank), 0);
-        std::int64_t stride = 1;
-        for (int i = rank - 1; i >= 0; --i) {
-          const auto u = static_cast<std::size_t>(i);
-          if (std::binary_search(axes.begin(), axes.end(), i)) {
-            spec.red_out_strides[u] = 0;
-          } else {
-            spec.red_out_strides[u] = stride;
-            stride *= spec.red_in_dims[u];
-          }
-        }
-        std::int64_t count = 1;
-        for (const int axis : axes) count *= a.shape.dim(axis);
-        spec.mean_scale = 1.0f / static_cast<float>(count);
-        values[static_cast<std::size_t>(m.value_id)] = {DType::kFloat32,
-                                                        spec.out_shape};
-        continue;  // epilogue, not a block instruction
+      }
+      const auto d = static_cast<std::size_t>(a.dtype);
+      if (row.block[d] == nullptr) return false;
+      if (row.int_may_throw && a.dtype == DType::kInt64) return false;
+      out.dtype = row.result[d];
+      values[static_cast<std::size_t>(m.value_id)] = std::move(out);
+      spec.instrs.push_back({row.block[d], m.value_id, m.a, m.b});
+      continue;
+    }
+    // The reduction epilogue: not a block instruction.
+    if (a.dtype != DType::kFloat32) return false;
+    std::vector<int> axes;
+    if (!NormalizeReduceAxes(m.axes, a.shape.rank(), &axes)) return false;
+    spec.has_reduction = true;
+    spec.reduce_mean = m.reduce_mean;
+    spec.iter_shape = a.shape;
+    spec.root_value = m.a;
+    spec.root_dtype = DType::kFloat32;
+    // ReducedShape replica.
+    std::vector<std::int64_t> out_dims;
+    for (int i = 0; i < a.shape.rank(); ++i) {
+      const bool reduced = std::binary_search(axes.begin(), axes.end(), i);
+      if (reduced) {
+        if (m.keep_dims) out_dims.push_back(1);
+      } else {
+        out_dims.push_back(a.shape.dim(i));
       }
     }
-    if (!ok || instr.fn == nullptr) return false;
-    values[static_cast<std::size_t>(m.value_id)] = out;
-    spec.instrs.push_back(instr);
+    spec.out_shape = Shape(std::move(out_dims));
+    // Full-rank output strides with 0 on reduced axes (ReduceImpl).
+    const int rank = a.shape.rank();
+    spec.red_in_dims = a.shape.dims();
+    spec.red_out_strides.assign(static_cast<std::size_t>(rank), 0);
+    std::int64_t stride = 1;
+    for (int i = rank - 1; i >= 0; --i) {
+      const auto u = static_cast<std::size_t>(i);
+      if (std::binary_search(axes.begin(), axes.end(), i)) {
+        spec.red_out_strides[u] = 0;
+      } else {
+        spec.red_out_strides[u] = stride;
+        stride *= spec.red_in_dims[u];
+      }
+    }
+    std::int64_t count = 1;
+    for (const int axis : axes) count *= a.shape.dim(axis);
+    spec.mean_scale = 1.0f / static_cast<float>(count);
+    values[static_cast<std::size_t>(m.value_id)] = {DType::kFloat32,
+                                                    spec.out_shape};
   }
 
   if (!spec.has_reduction) {
@@ -1319,7 +936,9 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
           out_base + static_cast<std::size_t>(base) * spec->root_elem_size;
     }
     for (const BlockInstr& instr : spec->instrs) {
-      instr.fn(vals.data(), instr, count);
+      instr.fn(vals[static_cast<std::size_t>(instr.a)],
+               instr.b >= 0 ? vals[static_cast<std::size_t>(instr.b)] : nullptr,
+               vals[static_cast<std::size_t>(instr.out)], count);
     }
     if (spec->has_reduction) {
       AccumulateReduction(

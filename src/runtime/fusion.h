@@ -20,15 +20,17 @@
 // share one compiled program.
 //
 // Correctness contract: fused execution is bitwise identical to unfused
-// per-node execution. Every block kernel replicates the corresponding
-// ops_elementwise.cc lambda exactly, reduction epilogues accumulate in the
-// same linear input order as ops_linalg.cc's ReduceImpl, and any shape /
-// dtype combination the superop cannot prove bit-exact (non-identity
-// broadcasts that are neither scalar nor full-size, int64 true division's
-// float promotion, ops that may throw data-dependent errors like integer
-// FloorDiv/Mod) falls back to per-member kernel dispatch inside the region,
-// preserving exact error attribution ("[at <node>]") and precomputed-output
-// (eager tape) semantics.
+// per-node execution by construction. Block kernels, the dtype checks and
+// the result dtypes all come from the elementwise op table
+// (tensor/elementwise.h) that the eager kernels are instantiated from, and
+// reduction epilogues accumulate in the same linear input order as
+// ops_linalg.cc's ReduceImpl. Three cases fall back to per-member kernel
+// dispatch inside the region, preserving exact error attribution
+// ("[at <node>]") and precomputed-output (eager tape) semantics: partial
+// broadcasts (neither scalar nor full-size), non-float32 reductions, and
+// int64 ops whose table functor may throw (FloorDiv/Mod by zero); so does
+// any operand combination the table rejects, which then raises the unfused
+// kernel's error.
 //
 // Kill switches: JANUS_FUSION=0 disables the pass process-wide;
 // EngineOptions::enable_fusion and PlanOptions::enable_fusion disable it per
@@ -49,6 +51,7 @@
 
 #include "runtime/executor.h"
 #include "runtime/plan.h"
+#include "tensor/elementwise.h"
 
 namespace janus {
 
@@ -61,46 +64,6 @@ void SetGloballyEnabled(bool enabled);
 
 }  // namespace fusion
 
-// The ops the superop interpreter understands. Reductions are legal only as
-// the region root (epilogue); everything else is same-index elementwise or
-// broadcast.
-enum class FusedOp : std::uint8_t {
-  // Unary.
-  kNeg,
-  kAbs,
-  kSign,
-  kExp,
-  kLog,
-  kSqrt,
-  kSquare,
-  kTanh,
-  kSigmoid,
-  kRelu,
-  kLogicalNot,
-  // Binary.
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kFloorDiv,
-  kMod,
-  kPow,
-  kMaximum,
-  kMinimum,
-  kReluGrad,
-  kEqual,
-  kNotEqual,
-  kLess,
-  kLessEqual,
-  kGreater,
-  kGreaterEqual,
-  kLogicalAnd,
-  kLogicalOr,
-  // Reduction epilogues (root only).
-  kReduceSum,
-  kReduceMean,
-};
-
 struct FusedSpec;  // runtime specialization, private to fusion.cc
 
 // The plan-time (structural) description of one fused region. Value ids form
@@ -111,11 +74,13 @@ struct FusedRegionPlan {
   struct Member {
     const Node* node = nullptr;
     const KernelFn* kernel = nullptr;  // fallback per-member dispatch
-    FusedOp op = FusedOp::kAdd;
+    // The member's op table row; nullptr for the reduction epilogue.
+    const elementwise::OpRow* row = nullptr;
     int value_id = -1;  // value this member defines
     int a = -1;         // operand value ids (-1 = unused)
     int b = -1;
-    // Reduction epilogue parameters (raw node attrs).
+    // Reduction epilogue parameters (ReduceSum or ReduceMean; raw node attrs).
+    bool reduce_mean = false;
     std::vector<std::int64_t> axes;
     bool keep_dims = false;
   };

@@ -1,6 +1,8 @@
-// Kernels for elementwise math, comparisons, linear algebra, and reductions.
+// Kernels for elementwise math and comparisons (registered from the op
+// table), linear algebra, and reductions.
 #include "runtime/kernel.h"
 #include "runtime/run_context.h"
+#include "tensor/elementwise.h"
 #include "tensor/ops.h"
 
 namespace janus {
@@ -39,43 +41,18 @@ void RegisterReduction(KernelRegistry& r, const std::string& name,
 }  // namespace
 
 void RegisterMathKernels(KernelRegistry& r) {
-  RegisterBinary(r, "Add", ops::Add);
-  RegisterBinary(r, "Sub", ops::Sub);
-  RegisterBinary(r, "Mul", ops::Mul);
-  RegisterBinary(r, "Div", ops::Div);
-  RegisterBinary(r, "FloorDiv", ops::FloorDiv);
-  RegisterBinary(r, "Mod", ops::Mod);
-  RegisterBinary(r, "Pow", ops::Pow);
-  RegisterBinary(r, "Maximum", ops::Maximum);
-  RegisterBinary(r, "Minimum", ops::Minimum);
-  RegisterBinary(r, "Equal", ops::Equal);
-  RegisterBinary(r, "NotEqual", ops::NotEqual);
-  RegisterBinary(r, "Less", ops::Less);
-  RegisterBinary(r, "LessEqual", ops::LessEqual);
-  RegisterBinary(r, "Greater", ops::Greater);
-  RegisterBinary(r, "GreaterEqual", ops::GreaterEqual);
-  RegisterBinary(r, "LogicalAnd", ops::LogicalAnd);
-  RegisterBinary(r, "LogicalOr", ops::LogicalOr);
+  for (const elementwise::OpRow& row : elementwise::Rows()) {
+    const std::string name(row.name);
+    if (row.arity == 1) {
+      RegisterUnary(r, name, row.unary);
+    } else {
+      RegisterBinary(r, name, row.binary);
+    }
+  }
   RegisterBinary(r, "MatMul", ops::MatMul);
-
-  RegisterUnary(r, "LogicalNot", ops::LogicalNot);
-  RegisterUnary(r, "Neg", ops::Neg);
-  RegisterUnary(r, "Abs", ops::Abs);
-  RegisterUnary(r, "Sign", ops::Sign);
-  RegisterUnary(r, "Exp", ops::Exp);
-  RegisterUnary(r, "Log", ops::Log);
-  RegisterUnary(r, "Sqrt", ops::Sqrt);
-  RegisterUnary(r, "Square", ops::Square);
-  RegisterUnary(r, "Tanh", ops::Tanh);
-  RegisterUnary(r, "Sigmoid", ops::Sigmoid);
-  RegisterUnary(r, "Relu", ops::Relu);
   RegisterUnary(r, "Transpose", ops::Transpose);
   RegisterUnary(r, "Softmax", ops::Softmax);
   RegisterUnary(r, "LogSoftmax", ops::LogSoftmax);
-
-  r.Register("ReluGrad", [](KernelContext& ctx) {
-    ctx.set_output(0, ops::ReluGrad(ctx.input(0), ctx.input(1)));
-  });
 
   RegisterReduction(r, "ReduceSum", ops::ReduceSum);
   RegisterReduction(r, "ReduceMean", ops::ReduceMean);

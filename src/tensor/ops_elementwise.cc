@@ -1,7 +1,12 @@
-// Broadcasting elementwise kernels, comparisons, logical ops, and unary math.
-#include <cmath>
-#include <functional>
+// Broadcasting elementwise kernels, comparisons, logical ops, and unary math:
+// the eager kernels and the fused block kernels, both instantiated from the
+// op table in elementwise.h.
+#include <cstdint>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 
+#include "tensor/elementwise.h"
 #include "tensor/ops.h"
 
 namespace janus::ops {
@@ -58,289 +63,239 @@ void CheckSameDType(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 
-template <typename T, typename F>
-Tensor BinaryImpl(const Tensor& a, const Tensor& b, DType out_dtype, F fn) {
+// ---- Instantiating the op table (elementwise.h) ----
+
+// Storage type T <-> DType: float32, int64, bool as uint8.
+template <typename T>
+constexpr DType kDTypeOf = std::is_same_v<T, float>          ? DType::kFloat32
+                           : std::is_same_v<T, std::int64_t> ? DType::kInt64
+                                                             : DType::kBool;
+
+// Whether Op has a functor for operands of storage type T.
+template <typename Op, typename T>
+concept Accepts =
+    (std::is_same_v<T, float> && requires { &Op::F32; }) ||
+    (std::is_same_v<T, std::int64_t> && requires { &Op::I64; }) ||
+    (std::is_same_v<T, std::uint8_t> && requires { &Op::Bool; });
+
+// Op's functor for operand type T, called directly so it inlines into the
+// element loops.
+template <typename Op, typename T, typename... Args>
+auto Apply(Args... args) {
+  if constexpr (std::is_same_v<T, float>) {
+    return Op::F32(args...);
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    return Op::I64(args...);
+  } else {
+    return Op::Bool(args...);
+  }
+}
+
+template <typename Op, typename T>
+auto ResultOf() {
+  if constexpr (Op::kArity == 1) {
+    return Apply<Op, T>(T{});
+  } else {
+    return Apply<Op, T>(T{}, T{});
+  }
+}
+// The result storage type of Op on operands of type T.
+template <typename Op, typename T>
+using Result = decltype(ResultOf<Op, T>());
+
+// Calls fn with a value of the storage type of `dtype` (its type selects the
+// functor) when Op accepts that dtype; throws InvalidArgument otherwise.
+template <typename Op, typename F>
+Tensor WithType(DType dtype, F fn) {
+  switch (dtype) {
+    case DType::kFloat32:
+      if constexpr (Accepts<Op, float>) return fn(float{});
+      break;
+    case DType::kInt64:
+      if constexpr (Accepts<Op, std::int64_t>) return fn(std::int64_t{});
+      break;
+    case DType::kBool:
+      if constexpr (Accepts<Op, std::uint8_t>) return fn(std::uint8_t{});
+      break;
+  }
+  throw InvalidArgument(std::string(Op::kName) + ": " + DTypeName(dtype) +
+                        " operands unsupported");
+}
+
+template <typename Op, typename T>
+Tensor UnaryImpl(const Tensor& a) {
+  using O = Result<Op, T>;
+  Tensor out = Tensor::OutputBuffer({&a}, kDTypeOf<O>, a.shape());
+  const auto av = a.data<T>();
+  auto ov = out.mutable_data<O>();
+  for (std::size_t i = 0; i < av.size(); ++i) ov[i] = Apply<Op, T>(av[i]);
+  return out;
+}
+
+template <typename Op, typename T>
+Tensor BinaryImpl(const Tensor& a, const Tensor& b) {
+  using O = Result<Op, T>;
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
-  // With identical operand shapes every write to output element i reads only
-  // operand element i, so (under an active InPlaceScope) the output may
-  // overwrite a dying operand's buffer. Broadcast outputs must not alias an
-  // operand: stride-0 dims re-read elements after earlier writes.
-  const bool same_shape = a.shape() == b.shape();
-  Tensor out = same_shape ? Tensor::OutputBuffer({&a, &b}, out_dtype, out_shape)
-                          : Tensor::Uninitialized(out_dtype, out_shape);
   const auto av = a.data<T>();
   const auto bv = b.data<T>();
   const std::int64_t n = out_shape.num_elements();
-  // Fast path: identical shapes — no index mapping needed.
-  if (same_shape) {
-    if constexpr (std::is_same_v<T, float>) {
-      if (out_dtype == DType::kFloat32) {
-        auto ov = out.mutable_data<float>();
-        for (std::int64_t i = 0; i < n; ++i) {
-          const auto u = static_cast<std::size_t>(i);
-          ov[u] = fn(av[u], bv[u]);
-        }
-        return out;
-      }
-    }
-  }
-  const BroadcastIndexer indexer(a.shape(), b.shape(), out_shape);
-  const auto write = [&](auto span) {
+  // With identical operand shapes every write to output element i reads only
+  // operand element i, so (under an active InPlaceScope) the output may
+  // overwrite a dying operand's buffer, and no index mapping is needed.
+  // Broadcast outputs must not alias an operand: stride-0 dims re-read
+  // elements after earlier writes.
+  if (a.shape() == b.shape()) {
+    Tensor out = Tensor::OutputBuffer({&a, &b}, kDTypeOf<O>, out_shape);
+    auto ov = out.mutable_data<O>();
     for (std::int64_t i = 0; i < n; ++i) {
-      const auto [ai, bi] = indexer.Map(i);
-      span[static_cast<std::size_t>(i)] =
-          fn(av[static_cast<std::size_t>(ai)], bv[static_cast<std::size_t>(bi)]);
+      const auto u = static_cast<std::size_t>(i);
+      ov[u] = Apply<Op, T>(av[u], bv[u]);
     }
-  };
-  switch (out_dtype) {
-    case DType::kFloat32:
-      write(out.mutable_data<float>());
-      break;
-    case DType::kInt64:
-      write(out.mutable_data<std::int64_t>());
-      break;
-    case DType::kBool:
-      write(out.mutable_data<std::uint8_t>());
-      break;
-  }
-  return out;
-}
-
-// Dispatches a numeric binary op over float32 / int64 operands.
-template <typename FF, typename FI>
-Tensor NumericBinary(const char* name, const Tensor& a, const Tensor& b,
-                     FF ffn, FI ifn) {
-  CheckSameDType(a, b, name);
-  switch (a.dtype()) {
-    case DType::kFloat32:
-      return BinaryImpl<float>(a, b, DType::kFloat32, ffn);
-    case DType::kInt64:
-      return BinaryImpl<std::int64_t>(a, b, DType::kInt64, ifn);
-    case DType::kBool:
-      throw InvalidArgument(std::string(name) + ": bool operands unsupported");
-  }
-  throw InternalError("unreachable dtype");
-}
-
-template <typename F>
-Tensor Compare(const char* name, const Tensor& a, const Tensor& b, F fn) {
-  CheckSameDType(a, b, name);
-  switch (a.dtype()) {
-    case DType::kFloat32:
-      return BinaryImpl<float>(a, b, DType::kBool, [&](float x, float y) {
-        return static_cast<std::uint8_t>(fn(x, y) ? 1 : 0);
-      });
-    case DType::kInt64:
-      return BinaryImpl<std::int64_t>(
-          a, b, DType::kBool, [&](std::int64_t x, std::int64_t y) {
-            return static_cast<std::uint8_t>(fn(x, y) ? 1 : 0);
-          });
-    case DType::kBool:
-      return BinaryImpl<std::uint8_t>(
-          a, b, DType::kBool, [&](std::uint8_t x, std::uint8_t y) {
-            return static_cast<std::uint8_t>(fn(x != 0, y != 0) ? 1 : 0);
-          });
-  }
-  throw InternalError("unreachable dtype");
-}
-
-template <typename F>
-Tensor UnaryFloat(const char* name, const Tensor& a, F fn) {
-  if (a.dtype() != DType::kFloat32) {
-    throw InvalidArgument(std::string(name) + ": requires float32 operand");
-  }
-  Tensor out = Tensor::OutputBuffer({&a}, DType::kFloat32, a.shape());
-  const auto av = a.data<float>();
-  auto ov = out.mutable_data<float>();
-  for (std::size_t i = 0; i < av.size(); ++i) ov[i] = fn(av[i]);
-  return out;
-}
-
-}  // namespace
-
-Tensor Add(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Add", a, b, [](float x, float y) { return x + y; },
-      [](std::int64_t x, std::int64_t y) { return x + y; });
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Sub", a, b, [](float x, float y) { return x - y; },
-      [](std::int64_t x, std::int64_t y) { return x - y; });
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Mul", a, b, [](float x, float y) { return x * y; },
-      [](std::int64_t x, std::int64_t y) { return x * y; });
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  CheckSameDType(a, b, "Div");
-  if (a.dtype() == DType::kInt64) {
-    // True division promotes to float, as in Python 3.
-    return Div(Cast(a, DType::kFloat32), Cast(b, DType::kFloat32));
-  }
-  return BinaryImpl<float>(a, b, DType::kFloat32,
-                           [](float x, float y) { return x / y; });
-}
-
-Tensor FloorDiv(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "FloorDiv", a, b,
-      [](float x, float y) { return std::floor(x / y); },
-      [](std::int64_t x, std::int64_t y) {
-        if (y == 0) throw InvalidArgument("integer division by zero");
-        std::int64_t q = x / y;
-        if ((x % y != 0) && ((x < 0) != (y < 0))) --q;
-        return q;
-      });
-}
-
-Tensor Mod(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Mod", a, b,
-      [](float x, float y) { return x - y * std::floor(x / y); },
-      [](std::int64_t x, std::int64_t y) {
-        if (y == 0) throw InvalidArgument("integer modulo by zero");
-        std::int64_t r = x % y;
-        if (r != 0 && ((r < 0) != (y < 0))) r += y;
-        return r;
-      });
-}
-
-Tensor Pow(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Pow", a, b, [](float x, float y) { return std::pow(x, y); },
-      [](std::int64_t x, std::int64_t y) {
-        std::int64_t result = 1;
-        for (std::int64_t i = 0; i < y; ++i) result *= x;
-        return result;
-      });
-}
-
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Maximum", a, b, [](float x, float y) { return x > y ? x : y; },
-      [](std::int64_t x, std::int64_t y) { return x > y ? x : y; });
-}
-
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Minimum", a, b, [](float x, float y) { return x < y ? x : y; },
-      [](std::int64_t x, std::int64_t y) { return x < y ? x : y; });
-}
-
-Tensor Equal(const Tensor& a, const Tensor& b) {
-  return Compare("Equal", a, b, [](auto x, auto y) { return x == y; });
-}
-Tensor NotEqual(const Tensor& a, const Tensor& b) {
-  return Compare("NotEqual", a, b, [](auto x, auto y) { return x != y; });
-}
-Tensor Less(const Tensor& a, const Tensor& b) {
-  return Compare("Less", a, b, [](auto x, auto y) { return x < y; });
-}
-Tensor LessEqual(const Tensor& a, const Tensor& b) {
-  return Compare("LessEqual", a, b, [](auto x, auto y) { return x <= y; });
-}
-Tensor Greater(const Tensor& a, const Tensor& b) {
-  return Compare("Greater", a, b, [](auto x, auto y) { return x > y; });
-}
-Tensor GreaterEqual(const Tensor& a, const Tensor& b) {
-  return Compare("GreaterEqual", a, b, [](auto x, auto y) { return x >= y; });
-}
-
-Tensor LogicalAnd(const Tensor& a, const Tensor& b) {
-  CheckSameDType(a, b, "LogicalAnd");
-  return BinaryImpl<std::uint8_t>(
-      a, b, DType::kBool, [](std::uint8_t x, std::uint8_t y) {
-        return static_cast<std::uint8_t>((x != 0 && y != 0) ? 1 : 0);
-      });
-}
-
-Tensor LogicalOr(const Tensor& a, const Tensor& b) {
-  CheckSameDType(a, b, "LogicalOr");
-  return BinaryImpl<std::uint8_t>(
-      a, b, DType::kBool, [](std::uint8_t x, std::uint8_t y) {
-        return static_cast<std::uint8_t>((x != 0 || y != 0) ? 1 : 0);
-      });
-}
-
-Tensor LogicalNot(const Tensor& a) {
-  if (a.dtype() != DType::kBool) {
-    throw InvalidArgument("LogicalNot: requires bool operand");
-  }
-  Tensor out = Tensor::OutputBuffer({&a}, DType::kBool, a.shape());
-  const auto av = a.data<std::uint8_t>();
-  auto ov = out.mutable_data<std::uint8_t>();
-  for (std::size_t i = 0; i < av.size(); ++i) ov[i] = av[i] != 0 ? 0 : 1;
-  return out;
-}
-
-Tensor Neg(const Tensor& a) {
-  if (a.dtype() == DType::kInt64) {
-    Tensor out = Tensor::OutputBuffer({&a}, DType::kInt64, a.shape());
-    const auto av = a.data<std::int64_t>();
-    auto ov = out.mutable_data<std::int64_t>();
-    for (std::size_t i = 0; i < av.size(); ++i) ov[i] = -av[i];
     return out;
   }
-  return UnaryFloat("Neg", a, [](float x) { return -x; });
-}
-
-Tensor Abs(const Tensor& a) {
-  if (a.dtype() == DType::kInt64) {
-    Tensor out = Tensor::OutputBuffer({&a}, DType::kInt64, a.shape());
-    const auto av = a.data<std::int64_t>();
-    auto ov = out.mutable_data<std::int64_t>();
-    for (std::size_t i = 0; i < av.size(); ++i)
-      ov[i] = av[i] < 0 ? -av[i] : av[i];
-    return out;
+  Tensor out = Tensor::Uninitialized(kDTypeOf<O>, out_shape);
+  auto ov = out.mutable_data<O>();
+  const BroadcastIndexer indexer(a.shape(), b.shape(), out_shape);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto [ai, bi] = indexer.Map(i);
+    ov[static_cast<std::size_t>(i)] = Apply<Op, T>(
+        av[static_cast<std::size_t>(ai)], bv[static_cast<std::size_t>(bi)]);
   }
-  return UnaryFloat("Abs", a, [](float x) { return std::fabs(x); });
+  return out;
 }
 
-Tensor Sign(const Tensor& a) {
-  return UnaryFloat("Sign", a, [](float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
+template <typename Op>
+Tensor Eager(const Tensor& a) {
+  return WithType<Op>(a.dtype(), [&](auto tag) {
+    return UnaryImpl<Op, decltype(tag)>(a);
   });
 }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryFloat("Exp", a, [](float x) { return std::exp(x); });
-}
-Tensor Log(const Tensor& a) {
-  return UnaryFloat("Log", a, [](float x) { return std::log(x); });
-}
-Tensor Sqrt(const Tensor& a) {
-  return UnaryFloat("Sqrt", a, [](float x) { return std::sqrt(x); });
-}
-Tensor Square(const Tensor& a) {
-  return UnaryFloat("Square", a, [](float x) { return x * x; });
-}
-Tensor Tanh(const Tensor& a) {
-  return UnaryFloat("Tanh", a, [](float x) { return std::tanh(x); });
-}
-Tensor Sigmoid(const Tensor& a) {
-  return UnaryFloat("Sigmoid", a,
-                    [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor Relu(const Tensor& a) {
-  return UnaryFloat("Relu", a, [](float x) { return x > 0.0f ? x : 0.0f; });
+template <typename Op>
+Tensor Eager(const Tensor& a, const Tensor& b) {
+  CheckSameDType(a, b, Op::kName);
+  if (!Op::kBroadcast && a.shape() != b.shape()) {
+    throw InvalidArgument(std::string(Op::kName) + ": shape mismatch");
+  }
+  return WithType<Op>(a.dtype(), [&](auto tag) {
+    return BinaryImpl<Op, decltype(tag)>(a, b);
+  });
 }
 
-Tensor ReluGrad(const Tensor& grad, const Tensor& x) {
-  if (grad.shape() != x.shape()) {
-    throw InvalidArgument("ReluGrad: shape mismatch");
+template <typename Op, typename T>
+void Block(const char* a, [[maybe_unused]] const char* b, char* out,
+           std::int64_t count) {
+  const T* x = reinterpret_cast<const T*>(a);
+  auto* o = reinterpret_cast<Result<Op, T>*>(out);
+  if constexpr (Op::kArity == 1) {
+    for (std::int64_t i = 0; i < count; ++i) o[i] = Apply<Op, T>(x[i]);
+  } else {
+    const T* y = reinterpret_cast<const T*>(b);
+    for (std::int64_t i = 0; i < count; ++i) o[i] = Apply<Op, T>(x[i], y[i]);
   }
-  Tensor out = Tensor::OutputBuffer({&grad, &x}, DType::kFloat32, x.shape());
-  const auto gv = grad.data<float>();
-  const auto xv = x.data<float>();
-  auto ov = out.mutable_data<float>();
-  for (std::size_t i = 0; i < xv.size(); ++i)
-    ov[i] = xv[i] > 0.0f ? gv[i] : 0.0f;
-  return out;
+}
+
+template <typename Op, typename T>
+constexpr void AddDType(elementwise::OpRow& row) {
+  if constexpr (Accepts<Op, T>) {
+    const auto d = static_cast<std::size_t>(kDTypeOf<T>);
+    row.block[d] = &Block<Op, T>;
+    row.result[d] = kDTypeOf<Result<Op, T>>;
+  }
+}
+
+template <typename Op>
+constexpr elementwise::OpRow MakeRow() {
+  elementwise::OpRow row;
+  row.name = Op::kName;
+  row.arity = Op::kArity;
+  row.broadcast = Op::kBroadcast;
+  row.in_place = Op::kInPlace;
+  row.fusable = Op::kFusable;
+  row.int_may_throw = Op::kIntMayThrow;
+  AddDType<Op, float>(row);
+  AddDType<Op, std::int64_t>(row);
+  AddDType<Op, std::uint8_t>(row);
+  if constexpr (Op::kArity == 1) {
+    row.unary = &Eager<Op>;
+  } else {
+    row.binary = &Eager<Op>;
+  }
+  return row;
+}
+
+namespace ew = elementwise;
+
+constexpr elementwise::OpRow kRows[] = {
+    MakeRow<ew::Neg>(),       MakeRow<ew::Abs>(),
+    MakeRow<ew::Sign>(),      MakeRow<ew::Exp>(),
+    MakeRow<ew::Log>(),       MakeRow<ew::Sqrt>(),
+    MakeRow<ew::Square>(),    MakeRow<ew::Tanh>(),
+    MakeRow<ew::Sigmoid>(),   MakeRow<ew::Relu>(),
+    MakeRow<ew::LogicalNot>(),
+    MakeRow<ew::Add>(),       MakeRow<ew::Sub>(),
+    MakeRow<ew::Mul>(),       MakeRow<ew::Div>(),
+    MakeRow<ew::FloorDiv>(),  MakeRow<ew::Mod>(),
+    MakeRow<ew::Pow>(),       MakeRow<ew::Maximum>(),
+    MakeRow<ew::Minimum>(),   MakeRow<ew::ReluGrad>(),
+    MakeRow<ew::Equal>(),     MakeRow<ew::NotEqual>(),
+    MakeRow<ew::Less>(),      MakeRow<ew::LessEqual>(),
+    MakeRow<ew::Greater>(),   MakeRow<ew::GreaterEqual>(),
+    MakeRow<ew::LogicalAnd>(), MakeRow<ew::LogicalOr>(),
+};
+
+}  // namespace
+
+Tensor Add(const Tensor& a, const Tensor& b) { return Eager<ew::Add>(a, b); }
+Tensor Sub(const Tensor& a, const Tensor& b) { return Eager<ew::Sub>(a, b); }
+Tensor Mul(const Tensor& a, const Tensor& b) { return Eager<ew::Mul>(a, b); }
+Tensor Div(const Tensor& a, const Tensor& b) { return Eager<ew::Div>(a, b); }
+Tensor FloorDiv(const Tensor& a, const Tensor& b) {
+  return Eager<ew::FloorDiv>(a, b);
+}
+Tensor Mod(const Tensor& a, const Tensor& b) { return Eager<ew::Mod>(a, b); }
+Tensor Pow(const Tensor& a, const Tensor& b) { return Eager<ew::Pow>(a, b); }
+Tensor Maximum(const Tensor& a, const Tensor& b) {
+  return Eager<ew::Maximum>(a, b);
+}
+Tensor Minimum(const Tensor& a, const Tensor& b) {
+  return Eager<ew::Minimum>(a, b);
+}
+Tensor Equal(const Tensor& a, const Tensor& b) {
+  return Eager<ew::Equal>(a, b);
+}
+Tensor NotEqual(const Tensor& a, const Tensor& b) {
+  return Eager<ew::NotEqual>(a, b);
+}
+Tensor Less(const Tensor& a, const Tensor& b) { return Eager<ew::Less>(a, b); }
+Tensor LessEqual(const Tensor& a, const Tensor& b) {
+  return Eager<ew::LessEqual>(a, b);
+}
+Tensor Greater(const Tensor& a, const Tensor& b) {
+  return Eager<ew::Greater>(a, b);
+}
+Tensor GreaterEqual(const Tensor& a, const Tensor& b) {
+  return Eager<ew::GreaterEqual>(a, b);
+}
+Tensor LogicalAnd(const Tensor& a, const Tensor& b) {
+  return Eager<ew::LogicalAnd>(a, b);
+}
+Tensor LogicalOr(const Tensor& a, const Tensor& b) {
+  return Eager<ew::LogicalOr>(a, b);
+}
+Tensor LogicalNot(const Tensor& a) { return Eager<ew::LogicalNot>(a); }
+Tensor Neg(const Tensor& a) { return Eager<ew::Neg>(a); }
+Tensor Abs(const Tensor& a) { return Eager<ew::Abs>(a); }
+Tensor Sign(const Tensor& a) { return Eager<ew::Sign>(a); }
+Tensor Exp(const Tensor& a) { return Eager<ew::Exp>(a); }
+Tensor Log(const Tensor& a) { return Eager<ew::Log>(a); }
+Tensor Sqrt(const Tensor& a) { return Eager<ew::Sqrt>(a); }
+Tensor Square(const Tensor& a) { return Eager<ew::Square>(a); }
+Tensor Tanh(const Tensor& a) { return Eager<ew::Tanh>(a); }
+Tensor Sigmoid(const Tensor& a) { return Eager<ew::Sigmoid>(a); }
+Tensor Relu(const Tensor& a) { return Eager<ew::Relu>(a); }
+Tensor ReluGrad(const Tensor& grad, const Tensor& x) {
+  return Eager<ew::ReluGrad>(grad, x);
 }
 
 Tensor Select(const Tensor& cond, const Tensor& a, const Tensor& b) {
@@ -393,3 +348,19 @@ Tensor RandomUniform(const Shape& shape, float lo, float hi, Rng& rng) {
 }
 
 }  // namespace janus::ops
+
+namespace janus::elementwise {
+
+std::span<const OpRow> Rows() { return ops::kRows; }
+
+const OpRow* FindRow(std::string_view op) {
+  static const auto* by_name = [] {
+    auto* map = new std::unordered_map<std::string_view, const OpRow*>;
+    for (const OpRow& row : ops::kRows) map->emplace(row.name, &row);
+    return map;
+  }();
+  const auto it = by_name->find(op);
+  return it == by_name->end() ? nullptr : it->second;
+}
+
+}  // namespace janus::elementwise

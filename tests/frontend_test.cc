@@ -3,6 +3,12 @@
 // dynamic-feature classes), builtins, and eager tape training.
 #include "frontend/interpreter.h"
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "frontend/builtins.h"
@@ -145,6 +151,33 @@ TEST_F(FrontendTest, ArithmeticAndPrecedence) {
   EXPECT_EQ(Num(RunAndGet("r = -7 // 2\n", "r")), -4);
   EXPECT_EQ(Num(RunAndGet("m = -7 % 3\n", "m")), 2);  // Python modulo
   EXPECT_DOUBLE_EQ(Num(RunAndGet("d = 7 / 2\n", "d")), 3.5);
+}
+
+// MiniPy int arithmetic is the op table's int64 arithmetic: wrapping
+// overflow, INT64_MIN // -1 == INT64_MIN (x86 division traps on it, so the
+// case runs in a child process), and O(log y) integer powers (the child has
+// 10 s before SIGALRM kills it).
+TEST_F(FrontendTest, Int64EdgeCasesFollowTheOpTable) {
+  EXPECT_EXIT(
+      {
+        alarm(10);
+        interp_.Run(R"(
+lo = -9223372036854775807 - 1
+q = lo // -1
+r = lo % -1
+n = -lo
+w = 9223372036854775807 + 1
+p = 3 ** 4611686018427387904
+)");
+        const auto get = [&](const char* name) {
+          return std::get<std::int64_t>(interp_.GetGlobal(name));
+        };
+        const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+        const bool ok = get("q") == lo && get("r") == 0 && get("n") == lo &&
+                        get("w") == lo && get("p") == 1;
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(FrontendTest, DynamicTyping) {

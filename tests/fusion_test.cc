@@ -5,13 +5,17 @@
 // fused-vs-unfused equivalence contract across broadcasts, reduction
 // epilogues, and fallback dtype combinations, error attribution through the
 // fallback path, the kill switches, program sharing through the process-wide
-// FusedKernelCache, and an exhaustive fusion-on/off sweep over the model zoo.
+// FusedKernelCache, a per-row differential of the elementwise op table (block
+// interpreter vs eager kernel), and an exhaustive fusion-on/off sweep over
+// the model zoo.
 #include "runtime/fusion.h"
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <map>
 #include <string>
@@ -24,16 +28,25 @@
 #include "models/zoo.h"
 #include "runtime/executor.h"
 #include "runtime/plan.h"
+#include "tensor/elementwise.h"
 #include "tensor/tensor.h"
 
 namespace janus {
+
+namespace elementwise {
+// Prints a table row by its name. Without it gtest prints the row's raw
+// bytes, which hold addresses, so test names would change on every run.
+// Found by argument-dependent lookup, so it sits in janus::elementwise.
+void PrintTo(const OpRow& row, std::ostream* os) { *os << row.name; }
+}  // namespace elementwise
+
 namespace {
 
 const void* RawBytes(const Tensor& t) {
   switch (t.dtype()) {
     case DType::kFloat32: return t.data<float>().data();
     case DType::kInt64: return t.data<std::int64_t>().data();
-    case DType::kBool: return t.data<bool>().data();
+    case DType::kBool: return t.data<std::uint8_t>().data();
   }
   return nullptr;
 }
@@ -247,9 +260,9 @@ TEST_F(FusionTest, ReduceAllAxesEpilogue) {
   EXPECT_EQ(metrics.fused_regions, 1);
 }
 
-TEST_F(FusionTest, Int64DivisionFallsBackBitExact) {
-  // int64 true division promotes through float; the superop interpreter
-  // refuses it at specialization time and the region runs per-member.
+TEST_F(FusionTest, Int64DivisionFusesBitExact) {
+  // int64 true division promotes to float32 through the op table's Div
+  // functor, exactly as the eager kernel does, so the region runs fused.
   Graph g;
   const NodeOutput x = g.Constant(Tensor::FromVectorInt({9, 8, 7, -6}, {4}));
   const NodeOutput y = g.Constant(Tensor::FromVectorInt({2, 4, 2, 4}, {4}));
@@ -261,9 +274,8 @@ TEST_F(FusionTest, Int64DivisionFallsBackBitExact) {
   const auto plan = BuildPlan(g, fetches, true);
   ASSERT_EQ(plan->fused_regions().size(), 1u);
   const RunMetrics metrics = ExpectFusedMatchesUnfused(g, fetches);
-  // Fallback dispatch: member ops still counted, no fused-region credit.
-  EXPECT_EQ(metrics.fused_regions, 0);
-  EXPECT_EQ(metrics.fused_ops, 0);
+  EXPECT_EQ(metrics.fused_regions, 1);
+  EXPECT_EQ(metrics.fused_ops, 2);
   EXPECT_EQ(metrics.ops_executed, 2);
 }
 
@@ -426,6 +438,190 @@ TEST_F(FusionTest, IdenticalRegionsShareOneCachedProgram) {
   EXPECT_EQ(stats.inserts - before.inserts, 1);
   EXPECT_GE(stats.hits - before.hits, 1);
 }
+
+// ---- per-row differential: fused block kernel vs eager kernel ----
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+// Operand values per dtype: NaN, infinities, signed zeros, denormals, int64
+// extremes and mixed signs. The int64 right operands hold no zero, so
+// FloorDiv/Mod produce values; zero divisors are checked for error parity.
+const std::vector<float> kF32Lhs = {kNaN,  kInf,  -kInf, -0.0f, 0.0f,  1e-40f,
+                                    -1.4e-45f, 1.0f, -1.0f, 2.5f, -3.75f,
+                                    100.0f, 1e30f, -0.5f, 88.7f, 3.0f};
+const std::vector<float> kF32Rhs = {2.0f,  kNaN,  -0.0f, kInf,   -kInf, 3.0f,
+                                    1e-40f, -1.0f, 0.0f, -2.5f, 0.5f,
+                                    -1e30f, 7.0f, -0.0f, 1.0f, -3.0f};
+const std::vector<std::int64_t> kI64Lhs = {kMin, kMin + 1, -9, -7, -1, 0,
+                                           1,    2,        3,  7,  62, kMax - 1,
+                                           kMax, -2,       5,  64};
+const std::vector<std::int64_t> kI64Rhs = {-1, 2,  -3, 3,    -1,   5, -7, 63,
+                                           2,  -2, 1,  -1, kMin, kMax, 64, 1};
+
+// 2100 elements (more than two 1024-element blocks): lhs cycles through the
+// value list, rhs steps once per cycle, so every (lhs, rhs) pair occurs.
+constexpr std::int64_t kRows = 3;
+constexpr std::int64_t kCols = 700;
+
+Tensor Values(DType dtype, bool rhs) {
+  const Shape shape{kRows, kCols};
+  Tensor t = Tensor::Uninitialized(dtype, shape);
+  const auto pick = [rhs](std::size_t i, std::size_t n) {
+    return rhs ? (i / n) % n : i % n;
+  };
+  switch (dtype) {
+    case DType::kFloat32: {
+      const auto& list = rhs ? kF32Rhs : kF32Lhs;
+      auto v = t.mutable_data<float>();
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] = list[pick(i, 16)];
+      break;
+    }
+    case DType::kInt64: {
+      const auto& list = rhs ? kI64Rhs : kI64Lhs;
+      auto v = t.mutable_data<std::int64_t>();
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] = list[pick(i, 16)];
+      break;
+    }
+    case DType::kBool: {
+      auto v = t.mutable_data<std::uint8_t>();
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] = pick(i, 2) & 1;
+      break;
+    }
+  }
+  return t;
+}
+
+// Element `index` of t as a scalar tensor.
+Tensor ScalarAt(const Tensor& t, std::size_t index) {
+  switch (t.dtype()) {
+    case DType::kFloat32: return Tensor::Scalar(t.data<float>()[index]);
+    case DType::kInt64: return Tensor::ScalarInt(t.data<std::int64_t>()[index]);
+    case DType::kBool:
+      return Tensor::ScalarBool(t.data<std::uint8_t>()[index] != 0);
+  }
+  return Tensor();
+}
+
+// A tensor, or the error class a computation threw instead.
+struct Outcome {
+  Tensor value;
+  std::string error;
+};
+
+template <typename F>
+Outcome Capture(F fn) {
+  try {
+    return {fn(), ""};
+  } catch (const InvalidArgument&) {
+    return {Tensor(), "InvalidArgument"};
+  } catch (const InternalError&) {
+    return {Tensor(), "InternalError"};
+  } catch (const Error&) {
+    return {Tensor(), "Error"};
+  }
+}
+
+class FusionRowTest
+    : public FusionTest,
+      public ::testing::WithParamInterface<elementwise::OpRow> {
+ protected:
+  // Runs the row's op as the root of a two-member region whose other member
+  // is a bitwise identity on the left operand (Maximum(x, x), or
+  // LogicalOr(x, x) for bool), and compares it with the eager kernel.
+  void ExpectFusedMatchesEager(const Tensor& lhs, const Tensor* rhs,
+                               bool expect_fused) {
+    const elementwise::OpRow& row = GetParam();
+    const char* identity =
+        lhs.dtype() == DType::kBool ? "LogicalOr" : "Maximum";
+    Graph g;
+    const NodeOutput x = g.Placeholder("x", lhs.dtype());
+    const NodeOutput x_same = {g.AddNode(identity, {x, x}), 0};
+    std::vector<NodeOutput> operands{x_same};
+    std::map<std::string, Tensor> feeds{{"x", lhs}};
+    if (rhs != nullptr) {
+      operands.push_back(g.Placeholder("y", rhs->dtype()));
+      feeds.emplace("y", *rhs);
+    }
+    const NodeOutput out = {g.AddNode(std::string(row.name), operands), 0};
+    const auto plan = BuildPlan(g, {out}, /*enable_fusion=*/true);
+    ASSERT_EQ(plan->fused_regions().size(), 1u);
+
+    RunMetrics metrics;
+    const Outcome fused = Capture([&] { return Run(*plan, feeds, &metrics)[0]; });
+    const Outcome eager = Capture([&] {
+      const Tensor a = elementwise::FindRow(identity)->binary(lhs, lhs);
+      return rhs != nullptr ? row.binary(a, *rhs) : row.unary(a);
+    });
+    EXPECT_EQ(fused.error, eager.error);
+    if (fused.error.empty() && eager.error.empty()) {
+      EXPECT_TRUE(BitwiseEqual(fused.value, eager.value))
+          << "fused output differs from the eager kernel";
+    }
+    EXPECT_EQ(metrics.fused_regions, expect_fused ? 1 : 0);
+  }
+
+  // Whether the block interpreter runs the row on these operands.
+  bool Fuses(DType dtype, bool same_shape) const {
+    const elementwise::OpRow& row = GetParam();
+    const auto d = static_cast<std::size_t>(dtype);
+    return row.block[d] != nullptr &&
+           !(row.int_may_throw && dtype == DType::kInt64) &&
+           (row.arity == 1 || row.broadcast || same_shape);
+  }
+};
+
+// Every row, every dtype, operands of the same shape and with a scalar on
+// either side: the block interpreter's output is memcmp-identical to the
+// eager kernel's, and operands the row rejects (dtype mismatch, bool
+// arithmetic, ReluGrad shape mismatch, int64 zero divisors) raise the eager
+// kernel's error class.
+TEST_P(FusionRowTest, FusedMatchesEagerBitwise) {
+  const elementwise::OpRow& row = GetParam();
+  for (const DType dtype : {DType::kFloat32, DType::kInt64, DType::kBool}) {
+    SCOPED_TRACE(DTypeName(dtype));
+    const Tensor lhs = Values(dtype, /*rhs=*/false);
+    if (row.arity == 1) {
+      ExpectFusedMatchesEager(lhs, nullptr, Fuses(dtype, true));
+      continue;
+    }
+    const Tensor rhs = Values(dtype, /*rhs=*/true);
+    {
+      SCOPED_TRACE("same shape");
+      ExpectFusedMatchesEager(lhs, &rhs, Fuses(dtype, true));
+    }
+    for (std::size_t i = 0; i < 16; ++i) {
+      SCOPED_TRACE("scalar element " + std::to_string(i));
+      const Tensor left = ScalarAt(lhs, i);
+      ExpectFusedMatchesEager(left, &rhs, Fuses(dtype, false));
+      const Tensor right = ScalarAt(rhs, i * 16);
+      ExpectFusedMatchesEager(lhs, &right, Fuses(dtype, false));
+    }
+  }
+  if (row.arity == 1) return;
+  // Rejected operands: the region falls back and raises the eager error.
+  {
+    SCOPED_TRACE("dtype mismatch");
+    const Tensor f32 = Values(DType::kFloat32, false);
+    const Tensor i64 = Values(DType::kInt64, true);
+    ExpectFusedMatchesEager(f32, &i64, false);
+  }
+  if (row.int_may_throw) {
+    SCOPED_TRACE("int64 zero divisor");
+    const Tensor lhs = Values(DType::kInt64, false);
+    const Tensor zero = Tensor::FromVectorInt(
+        std::vector<std::int64_t>(kRows * kCols, 0), Shape{kRows, kCols});
+    ExpectFusedMatchesEager(lhs, &zero, false);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OpTable, FusionRowTest, ::testing::ValuesIn(elementwise::Rows()),
+    [](const ::testing::TestParamInfo<elementwise::OpRow>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- model-zoo sweep: fusion on vs off must be bitwise-equivalent ----
 

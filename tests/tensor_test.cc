@@ -2,7 +2,11 @@
 // kernels, linear algebra, reductions, NN ops, and gather/scatter.
 #include "tensor/ops.h"
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,9 @@ void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.ToString(); }
 namespace {
 
 using ::testing::Test;
+
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 Tensor Vec(std::vector<float> v) {
   const auto n = static_cast<std::int64_t>(v.size());
@@ -210,6 +217,79 @@ TEST(ElementwiseTest, TrueDivPromotesIntToFloat) {
   const Tensor q = ops::Div(Tensor::ScalarInt(7), Tensor::ScalarInt(2));
   EXPECT_EQ(q.dtype(), DType::kFloat32);
   EXPECT_FLOAT_EQ(q.ScalarValue(), 3.5f);
+}
+
+// INT64_MIN // -1 overflows, and x86 integer division traps (SIGFPE) on it,
+// so the case runs in a child process: a trap fails this test instead of
+// killing the test binary.
+TEST(ElementwiseTest, Int64MinFloorDivModByMinusOneWrapLikeNumpy) {
+  EXPECT_EXIT(
+      {
+        const Tensor x = Tensor::FromVectorInt({kInt64Min, kInt64Min, 7}, {3});
+        const Tensor y = Tensor::FromVectorInt({-1, 1, -1}, {3});
+        const Tensor q = ops::FloorDiv(x, y);
+        const Tensor r = ops::Mod(x, y);
+        const bool ok = q.data<std::int64_t>()[0] == kInt64Min &&
+                        q.data<std::int64_t>()[1] == kInt64Min &&
+                        q.data<std::int64_t>()[2] == -7 &&
+                        r.data<std::int64_t>()[0] == 0 &&
+                        r.data<std::int64_t>()[1] == 0 &&
+                        r.data<std::int64_t>()[2] == 0;
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// int64 Pow must cost O(log y): the child has 10 s before SIGALRM kills it.
+// 3 has multiplicative order 2^62 modulo 2^64.
+TEST(ElementwiseTest, Int64PowHugeExponentReturnsPromptly) {
+  EXPECT_EXIT(
+      {
+        alarm(10);
+        const Tensor x = Tensor::FromVectorInt({3, 3, -1, 2, 5}, {5});
+        const Tensor y = Tensor::FromVectorInt(
+            {std::int64_t{1} << 62, std::int64_t{1} << 61, kInt64Max,
+             kInt64Max, -kInt64Max},
+            {5});
+        const auto p = ops::Pow(x, y).data<std::int64_t>();
+        const bool ok = p[0] == 1 && p[1] != 1 && p[2] == -1 && p[3] == 0 &&
+                        p[4] == 1;
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ElementwiseTest, Int64PowSmallExponentsMatchRepeatedProduct) {
+  for (const std::int64_t x :
+       {std::int64_t{-3}, std::int64_t{-1}, std::int64_t{0}, std::int64_t{2},
+        std::int64_t{7}, kInt64Min, kInt64Max}) {
+    std::uint64_t product = 1;
+    for (std::int64_t y = 0; y <= 70; ++y) {
+      const std::int64_t got =
+          ops::Pow(Tensor::ScalarInt(x), Tensor::ScalarInt(y)).ScalarIntValue();
+      EXPECT_EQ(got, static_cast<std::int64_t>(product))
+          << x << " ** " << y;
+      product *= static_cast<std::uint64_t>(x);
+    }
+    // Negative exponents keep the integer result 1.
+    EXPECT_EQ(
+        ops::Pow(Tensor::ScalarInt(x), Tensor::ScalarInt(-2)).ScalarIntValue(),
+        1);
+  }
+}
+
+// int64 overflow wraps in two's complement (undefined behaviour before, which
+// the sanitizer build reports).
+TEST(ElementwiseTest, Int64OverflowWraps) {
+  const auto one = [](Tensor t) { return t.ScalarIntValue(); };
+  const Tensor max = Tensor::ScalarInt(kInt64Max);
+  const Tensor min = Tensor::ScalarInt(kInt64Min);
+  EXPECT_EQ(one(ops::Add(max, Tensor::ScalarInt(1))), kInt64Min);
+  EXPECT_EQ(one(ops::Sub(min, Tensor::ScalarInt(1))), kInt64Max);
+  EXPECT_EQ(one(ops::Mul(max, Tensor::ScalarInt(2))), -2);
+  EXPECT_EQ(one(ops::Mul(min, Tensor::ScalarInt(-1))), kInt64Min);
+  EXPECT_EQ(one(ops::Neg(min)), kInt64Min);
+  EXPECT_EQ(one(ops::Abs(min)), kInt64Min);
 }
 
 TEST(ElementwiseTest, DivByZeroIntThrows) {
